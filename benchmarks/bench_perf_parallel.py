@@ -188,7 +188,11 @@ def run_scale_cell():
 
 
 def _check_p1_regression(records):
-    """parallelism=1 vs the in-process kernels bench, when available."""
+    """parallelism=1 vs the in-process kernels bench, when available.
+
+    Only records each cell's verdict; the test asserts on them after
+    the results file is written, so a miss never loses the run.
+    """
     kernels_path = RESULTS_DIR / "BENCH_kernels.json"
     if not kernels_path.exists():
         return {"checked": False, "reason": "BENCH_kernels.json absent"}
@@ -213,11 +217,9 @@ def _check_p1_regression(records):
             "program": record["program"], "mode": record["mode"],
             "executor": record["executor"],
             "kernels_seconds": expected, "p1_seconds": actual,
+            "budget_seconds": round(budget, 4),
+            "within_budget": actual <= budget,
         })
-        assert actual <= budget, (
-            f"parallelism=1 regressed ({record['executor']}, "
-            f"{record['mode']}): {actual}s vs kernels {expected}s "
-            f"(budget {budget:.4f}s)")
     return {"checked": True, "cells": checked}
 
 
@@ -264,6 +266,13 @@ def test_parallel_speedup(benchmark, results_dir):
     (results_dir / "BENCH_parallel.json").write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
+
+    for cell in regression.get("cells", ()):
+        assert cell["within_budget"], (
+            f"parallelism=1 regressed ({cell['executor']}, "
+            f"{cell['mode']}): {cell['p1_seconds']}s vs kernels "
+            f"{cell['kernels_seconds']}s "
+            f"(budget {cell['budget_seconds']:.4f}s)")
 
     if scale is not None and cpus >= 4:
         assert scale["speedup_p4"] >= MIN_SCALE_SPEEDUP, (

@@ -42,7 +42,7 @@ asserts ``JobMetrics.to_dict()`` of both executors is byte-identical.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.metrics import SuperstepMetrics
 from repro.core.runtime import Runtime
@@ -54,7 +54,10 @@ __all__ = [
     "bpull_gather",
     "finalize_superstep_metrics",
     "phase2_for_worker",
+    "batched_responder",
     "collect_triple",
+    "inbox_sink",
+    "replay_pull_requests",
 ]
 
 #: shared immutable empty inbox for vertices without messages.
@@ -533,88 +536,139 @@ def bpull_gather(
     Returns ``inbox[worker_id][vertex] -> [message values]`` where values
     have already been combined per sender when the program is combinable.
     """
-    cfg = rt.config
-    sizes = cfg.sizes
-    program = rt.program
-    ctx = rt.ctx
-    combinable = program.combinable and cfg.bpull_combine
     flags = rt.resp_prev
-    values = rt.values
-    message_value = program.message_value
-    combine = program.combine if combinable else None
-    uniform = program.uniform_messages
-    inbox = _pull_inbox(rt)
-    # Uniform programs: the payload depends only on the source vertex and
-    # its (fixed-within-gather) value, so memoize one payload per
-    # responding vertex for the whole gather instead of recomputing it
-    # for every fragment the vertex appears in.
-    payload_of: Dict[int, Any] = {}
-
     for worker in rt.workers:
         if worker.veblock is None:
             raise RuntimeError("b-pull requires VE-BLOCK storage")
         worker.veblock.begin_superstep_stats()
         worker.veblock.refresh_res(flags)
+    inbox = _pull_inbox(rt)
+    replay_pull_requests(
+        rt, metrics, msgs_gen_of, edges_of, pull_memory_of,
+        batched_responder(rt, flags), inbox_sink(rt, inbox),
+        lambda worker: worker.veblock.scan_stats,
+    )
+    return inbox
 
-    send_buffer_peak: Dict[int, int] = {w.worker_id: 0 for w in rt.workers}
-    recv_block_peak: Dict[int, int] = {w.worker_id: 0 for w in rt.workers}
 
-    for requester in rt.workers:
+def replay_pull_requests(
+    rt: Runtime,
+    metrics: SuperstepMetrics,
+    msgs_gen_of: Dict[int, int],
+    edges_of: Dict[int, int],
+    pull_memory_of: Dict[int, int],
+    respond: Callable[[int, int, Any], Optional[tuple]],
+    deliver: Callable[[int, Any], None],
+    scan_stats_of: Callable[[Any], Tuple[int, int, int, int]],
+) -> None:
+    """Algorithm 1's request loop and its accounting, for every tier.
+
+    Visits every (requester, requested Vblock, responder) triple in the
+    canonical order — requester ascending, its Vblocks in
+    ``local_blocks`` order, responder ascending — and sends one pull
+    request per triple.  ``respond(requester_id, block_id, responder)``
+    is the triple's Pull-Respond: None when the responder contributes
+    nothing, else ``(nvalues, ngroups, nbytes, units, payload)``.  The
+    loop counts the raw messages and ``mco``, charges the transfer,
+    tracks the send and receive buffer peaks, and hands *payload* to
+    ``deliver(requester_id, payload)``.
+
+    Afterwards each responder's ``scan_stats_of(worker)`` — edges, aux
+    bytes, edge bytes, ``V_rr`` bytes; read after the loop because
+    in-process responders accumulate them while answering — is folded
+    into the metrics, and the pull buffers' memory term is added: one
+    block's messages (two with pre-pulling) plus the largest send
+    sub-buffer (Section 4.3).
+    """
+    workers = rt.workers
+    send_buffer_peak = {w.worker_id: 0 for w in workers}
+    recv_block_peak = {w.worker_id: 0 for w in workers}
+    send_request = rt.network.send_request
+    transfer = rt.network.transfer
+    for requester in workers:
         rx = requester.worker_id
-        local_inbox = inbox[rx]
         for block_id in requester.veblock.local_blocks:
             block_received = 0
-            for responder in rt.workers:
+            for responder in workers:
                 ry = responder.worker_id
-                rt.network.send_request(rx, ry)
-                got = collect_triple(
-                    responder, block_id, flags, values, ctx,
-                    message_value, combine if combinable else None,
-                    uniform, payload_of, sizes,
-                )
+                send_request(rx, ry)
+                got = respond(rx, block_id, responder)
                 if got is None:
                     continue
-                buffer, nvalues, ngroups, nbytes, units = got
+                nvalues, ngroups, nbytes, units, payload = got
                 metrics.raw_messages += nvalues
                 msgs_gen_of[ry] += nvalues
                 if nbytes > send_buffer_peak[ry]:
                     send_buffer_peak[ry] = nbytes
-                rt.network.transfer(ry, rx, nbytes, units=units)
+                transfer(ry, rx, nbytes, units=units)
                 if ry != rx:
                     metrics.mco += nvalues - ngroups
                 block_received += nbytes
-                if combinable:
-                    for dst, combined in sorted(buffer.items()):
-                        if dst in local_inbox:
-                            local_inbox[dst].append(combined)
-                        else:
-                            local_inbox[dst] = [combined]
-                else:
-                    for dst, payloads in sorted(buffer.items()):
-                        if dst in local_inbox:
-                            local_inbox[dst].extend(payloads)
-                        else:
-                            local_inbox[dst] = list(payloads)
+                deliver(rx, payload)
             if block_received > recv_block_peak[rx]:
                 recv_block_peak[rx] = block_received
-    # scan statistics -> metrics
-    for worker in rt.workers:
+    factor = 2 if rt.config.prepull else 1
+    for worker in workers:
+        wid = worker.worker_id
         edges_scanned, aux_bytes, edge_bytes, vrr_bytes = (
-            worker.veblock.scan_stats
+            scan_stats_of(worker)
         )
         metrics.edges_scanned += edges_scanned
-        edges_of[worker.worker_id] += edges_scanned
+        edges_of[wid] += edges_scanned
         metrics.io_fragments += aux_bytes
         metrics.io_edges_bpull += edge_bytes
         metrics.io_vrr += vrr_bytes
-        # Memory: the receive buffer holds one block's messages (two with
-        # pre-pulling) plus the largest send sub-buffer (Section 4.3).
-        factor = 2 if cfg.prepull else 1
-        pull_memory_of[worker.worker_id] += (
-            factor * recv_block_peak[worker.worker_id]
-            + send_buffer_peak[worker.worker_id]
+        pull_memory_of[wid] += (
+            factor * recv_block_peak[wid] + send_buffer_peak[wid]
         )
-    return inbox
+
+
+def _bpull_combines(rt: Runtime) -> bool:
+    """Whether b-pull combines each sub-buffer (else concatenates)."""
+    return rt.program.combinable and rt.config.bpull_combine
+
+
+def inbox_sink(
+    rt: Runtime, inbox: Dict[int, Dict[int, List[Any]]]
+) -> Callable[[int, List[Tuple[int, Any]]], None]:
+    """A ``deliver`` callback appending one triple's sorted
+    ``(dst, value)`` items (combining) or ``(dst, [payloads])`` items
+    (concatenation) to the requester's inbox."""
+    if _bpull_combines(rt):
+        def deliver(rx: int, items: List[Tuple[int, Any]]) -> None:
+            local_inbox = inbox[rx]
+            for dst, combined in items:
+                if dst in local_inbox:
+                    local_inbox[dst].append(combined)
+                else:
+                    local_inbox[dst] = [combined]
+    else:
+        def deliver(rx: int, items: List[Tuple[int, Any]]) -> None:
+            local_inbox = inbox[rx]
+            for dst, payloads in items:
+                if dst in local_inbox:
+                    local_inbox[dst].extend(payloads)
+                else:
+                    local_inbox[dst] = payloads
+    return deliver
+
+
+def batched_responder(rt: Runtime, flags):
+    """The batched tier's ``respond`` callback over *flags*: runs
+    :func:`collect_triple` with one uniform-payload memo for the whole
+    gather (or the whole pool shard)."""
+    program = rt.program
+    combine = program.combine if _bpull_combines(rt) else None
+    payload_of: Dict[int, Any] = {}
+
+    def respond(_rx: int, block_id: int, responder):
+        return collect_triple(
+            responder, block_id, flags, rt.values, rt.ctx,
+            program.message_value, combine, program.uniform_messages,
+            payload_of, rt.config.sizes,
+        )
+
+    return respond
 
 
 #: unique sentinel for the pull-payload memo (None is a legal payload).
@@ -646,9 +700,10 @@ def collect_triple(
     does).
 
     Returns None when the responder contributes nothing, else
-    ``(buffer, nvalues, ngroups, nbytes, units)`` where *buffer* maps
-    ``dst -> combined value`` (combining) or ``dst -> [payloads]``
-    (concatenation).
+    ``(nvalues, ngroups, nbytes, units, items)`` where *items* lists
+    ``(dst, combined value)`` (combining) or ``(dst, [payloads])``
+    (concatenation) in ascending ``dst`` order — the order the
+    requester appends them to its inbox.
     """
     fragments = responder.veblock.collect_for_request(block_id, flags)
     if not fragments:
@@ -693,7 +748,10 @@ def collect_triple(
         if not cbuffer:
             return None
         ngroups = len(cbuffer)
-        return cbuffer, nvalues, ngroups, sizes.combined(ngroups), ngroups
+        return (
+            nvalues, ngroups, sizes.combined(ngroups), ngroups,
+            sorted(cbuffer.items()),
+        )
     buffer: Dict[int, List[Any]] = {}
     if uniform:
         for svertex, edges in fragments:
@@ -730,4 +788,4 @@ def collect_triple(
         return None
     ngroups = len(buffer)
     nbytes = sizes.concatenated(nvalues, ngroups)
-    return buffer, nvalues, ngroups, nbytes, nvalues
+    return nvalues, ngroups, nbytes, nvalues, sorted(buffer.items())

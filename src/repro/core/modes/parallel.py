@@ -11,9 +11,9 @@ coordinator-authoritative:
   fork-per-superstep) and lives across supersteps; each child owns a
   contiguous shard of the simulated workers and runs only the extracted
   per-worker halves (:func:`~repro.core.modes.common.phase2_for_worker`,
-  :func:`~repro.core.modes.common.collect_triple`,
+  :func:`~repro.core.modes.common.batched_responder`,
   :func:`~repro.core.modes.vectorized.compute_worker_update`,
-  :func:`~repro.core.modes.vectorized.triple_contribution`) for the
+  :func:`~repro.core.modes.vectorized.dense_responder`) for the
   workers it owns;
 * read-heavy state crosses process boundaries exactly once: the graph is
   inherited copy-on-write by the fork, and for the vectorized tier the
@@ -55,9 +55,11 @@ from repro.core.modes import vectorized as _vec
 from repro.core.modes.common import (
     _pull_inbox,
     _route_flows,
-    collect_triple,
+    batched_responder,
     finalize_superstep_metrics,
+    inbox_sink,
     phase2_for_worker,
+    replay_pull_requests,
 )
 from repro.obs.events import CAT_PARALLEL
 from repro.obs.tracer import NULL_TRACER
@@ -220,14 +222,7 @@ def _child_gather(
     aggregates: Dict[str, float],
     resp_bytes: bytes,
 ) -> Dict[str, Any]:
-    """Batched-tier Pull-Respond scans for one shard of responders.
-
-    Triples are keyed ``(requester, block, responder)`` so the
-    coordinator can replay the canonical sequential triple order with
-    the per-triple results looked up; the child's own iteration order is
-    irrelevant to the metrics (it only charges order-independent sums on
-    its shard's disks and stats).
-    """
+    """Batched-tier Pull-Respond scans for one shard of responders."""
     _sync_ctx(rt, superstep, aggregates)
     flags = FlagBitset(len(resp_bytes))
     flags.data[:] = resp_bytes
@@ -237,37 +232,33 @@ def _child_gather(
     for worker in workers:
         worker.veblock.begin_superstep_stats()
         worker.veblock.refresh_res(flags)
+    return _shard_reply(
+        rt, workers, batched_responder(rt, flags),
+        lambda w: w.veblock.scan_stats,
+    )
+
+
+def _shard_reply(rt, workers, respond, scan_stats_of) -> Dict[str, Any]:
+    """Answer every triple whose responder is in *workers*.
+
+    Triples are keyed ``(requester, block, responder)`` so the
+    coordinator can replay the canonical sequential triple order with
+    the per-triple results looked up; the child's own iteration order is
+    irrelevant to the metrics (it only charges order-independent sums on
+    its shard's disks and stats, which ship alongside).
+    """
     before = {w.worker_id: w.disk.snapshot() for w in workers}
-    program = rt.program
-    cfg = rt.config
-    combinable = program.combinable and cfg.bpull_combine
-    combine = program.combine if combinable else None
-    payload_of: Dict[int, Any] = {}
     triples: Dict[Tuple[int, int, int], Any] = {}
     for requester in rt.workers:
         rx = requester.worker_id
         for block_id in requester.veblock.local_blocks:
             for responder in workers:
-                got = collect_triple(
-                    responder, block_id, flags, rt.values, rt.ctx,
-                    program.message_value, combine,
-                    program.uniform_messages, payload_of, cfg.sizes,
-                )
-                if got is None:
-                    continue
-                buffer, nvalues, ngroups, nbytes, units = got
-                # pre-sort here: the coordinator appends the pair's
-                # messages in ascending vertex order (the scalar
-                # sorted(buffer.items())).
-                triples[(rx, block_id, responder.worker_id)] = (
-                    sorted(buffer.items()),
-                    nvalues, ngroups, nbytes, units,
-                )
+                got = respond(rx, block_id, responder)
+                if got is not None:
+                    triples[(rx, block_id, responder.worker_id)] = got
     return {
         "triples": triples,
-        "stats": {
-            w.worker_id: tuple(w.veblock.scan_stats) for w in workers
-        },
+        "stats": {w.worker_id: tuple(scan_stats_of(w)) for w in workers},
         "disk": {
             w.worker_id: w.disk.delta_since(before[w.worker_id])
             for w in workers
@@ -317,56 +308,13 @@ def _child_gather_vec(
     resp_bytes: bytes,
 ) -> Dict[str, Any]:
     """Vectorized-tier Pull-Respond scans for one shard of responders."""
-    np = _vec.np
     _sync_ctx(rt, superstep, aggregates)
-    state = rt.scratch["vectorized"]
-    pull = state.ensure_pull(rt)
-    resp = np.frombuffer(resp_bytes, dtype=np.uint8)
-    resp_bool = resp.view(np.bool_)
-    block_res = np.fromiter(
-        (bool(resp[vids].any()) for vids in pull.block_vids),
-        dtype=bool, count=len(pull.block_vids),
+    respond, scan_stats = _vec.dense_responder(
+        rt, rt.scratch["vectorized"], resp_bytes
     )
-    payload_all = payload_valid = None
-    if rt.program.uniform_messages:
-        payload_all, payload_valid = state.rules.source_payloads(
-            rt.ctx, state.values, state.out_degrees, np
-        )
-    stats = {w.worker_id: [0, 0, 0, 0] for w in workers}
-    before = {w.worker_id: w.disk.snapshot() for w in workers}
-    triples: Dict[Tuple[int, int, int], Any] = {}
-    for requester in rt.workers:
-        rx = requester.worker_id
-        for block_id in requester.veblock.local_blocks:
-            block_vids = pull.block_vids[block_id]
-            block_size = len(block_vids)
-            for responder in workers:
-                ry = responder.worker_id
-                bundle = pull.by_dst[ry].get(block_id)
-                if bundle is None:
-                    continue
-                result = _vec.triple_contribution(
-                    rt, state, responder, bundle, block_size,
-                    block_res, resp_bool, payload_all, payload_valid,
-                    stats[ry],
-                )
-                if result is None:
-                    continue
-                nvalues, ngroups, nbytes, got, acc_block = result
-                # ship only the hit entries (vertex ids + combined
-                # values, already in ascending-position order).
-                triples[(rx, block_id, ry)] = (
-                    nvalues, ngroups, nbytes,
-                    block_vids[got], acc_block[got],
-                )
-    return {
-        "triples": triples,
-        "stats": {wid: tuple(s) for wid, s in stats.items()},
-        "disk": {
-            w.worker_id: w.disk.delta_since(before[w.worker_id])
-            for w in workers
-        },
-    }
+    return _shard_reply(
+        rt, workers, respond, lambda w: scan_stats[w.worker_id]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -840,87 +788,52 @@ def _parallel_gather_batched(
     rt, pool, metrics, superstep, aggregates_now,
     msgs_gen_of, edges_of, pull_memory_of,
 ) -> Dict[int, Dict[int, List[Any]]]:
-    """Pull-Request/Pull-Respond with the triple scans on the pool.
+    """Pull-Request/Pull-Respond with the triple scans on the pool."""
+    inbox = _pull_inbox(rt)
+    _replay_pool_gather(
+        rt, pool, "gather", superstep, aggregates_now,
+        metrics, msgs_gen_of, edges_of, pull_memory_of,
+        inbox_sink(rt, inbox),
+    )
+    return inbox
+
+
+def _replay_pool_gather(
+    rt, pool, kind, superstep, aggregates_now,
+    metrics, msgs_gen_of, edges_of, pull_memory_of, deliver,
+) -> None:
+    """Scan every triple on the pool, then replay Algorithm 1 here.
 
     Children scan their owned responders' Eblocks in any order (the
     scans are independent: they read pre-superstep values and flags);
-    the coordinator then replays the canonical sequential triple loop —
-    requester ascending, its blocks in ``local_blocks`` order, responder
-    ascending, ``send_request`` for every triple — looking up each
-    triple's pre-computed contribution, so the network's flow order, the
-    inbox append order, and both buffer peaks match the sequential
-    gather exactly.
+    the coordinator then runs the shared request loop
+    (:func:`~repro.core.modes.common.replay_pull_requests`) with each
+    triple's pre-computed contribution looked up, so the network's flow
+    order, the inbox append order, and both buffer peaks match the
+    sequential gather exactly.
     """
-    cfg = rt.config
-    combinable = rt.program.combinable and cfg.bpull_combine
     resp_bytes = bytes(rt.resp_prev.data)
     replies = pool.run_round("gather", [
-        ("gather", superstep, aggregates_now, resp_bytes)
+        (kind, superstep, aggregates_now, resp_bytes)
         for _shard in pool.shards
     ])
     merge_start = perf_counter()
     triples: Dict[Tuple[int, int, int], Any] = {}
     stats: Dict[int, tuple] = {}
-    disks: Dict[int, Any] = {}
     for reply in replies:
         triples.update(reply["triples"])
         stats.update(reply["stats"])
-        disks.update(reply["disk"])
-
-    inbox = _pull_inbox(rt)
-    send_buffer_peak = {w.worker_id: 0 for w in rt.workers}
-    recv_block_peak = {w.worker_id: 0 for w in rt.workers}
-    send_request = rt.network.send_request
-    transfer = rt.network.transfer
-    for requester in rt.workers:
-        rx = requester.worker_id
-        local_inbox = inbox[rx]
-        for block_id in requester.veblock.local_blocks:
-            block_received = 0
-            for responder in rt.workers:
-                ry = responder.worker_id
-                send_request(rx, ry)
-                got = triples.get((rx, block_id, ry))
-                if got is None:
-                    continue
-                items, nvalues, ngroups, nbytes, units = got
-                metrics.raw_messages += nvalues
-                msgs_gen_of[ry] += nvalues
-                if nbytes > send_buffer_peak[ry]:
-                    send_buffer_peak[ry] = nbytes
-                transfer(ry, rx, nbytes, units=units)
-                if ry != rx:
-                    metrics.mco += nvalues - ngroups
-                block_received += nbytes
-                if combinable:
-                    for dst, combined in items:
-                        if dst in local_inbox:
-                            local_inbox[dst].append(combined)
-                        else:
-                            local_inbox[dst] = [combined]
-                else:
-                    for dst, payloads in items:
-                        if dst in local_inbox:
-                            local_inbox[dst].extend(payloads)
-                        else:
-                            local_inbox[dst] = list(payloads)
-            if block_received > recv_block_peak[rx]:
-                recv_block_peak[rx] = block_received
-    for worker in rt.workers:
-        wid = worker.worker_id
-        edges_scanned, aux_bytes, edge_bytes, vrr_bytes = stats[wid]
-        metrics.edges_scanned += edges_scanned
-        edges_of[wid] += edges_scanned
-        metrics.io_fragments += aux_bytes
-        metrics.io_edges_bpull += edge_bytes
-        metrics.io_vrr += vrr_bytes
-        factor = 2 if cfg.prepull else 1
-        pull_memory_of[wid] += (
-            factor * recv_block_peak[wid] + send_buffer_peak[wid]
-        )
-        worker.disk.counters.add(disks[wid])
+        for wid, delta in reply["disk"].items():
+            rt.workers[wid].disk.counters.add(delta)
+    replay_pull_requests(
+        rt, metrics, msgs_gen_of, edges_of, pull_memory_of,
+        lambda rx, block_id, responder: triples.get(
+            (rx, block_id, responder.worker_id)
+        ),
+        deliver,
+        lambda worker: stats[worker.worker_id],
+    )
     pool.note_merge(perf_counter() - merge_start)
-    return inbox
 
 
 def _superstep_vectorized(
@@ -933,7 +846,6 @@ def _superstep_vectorized(
     responding flags travel through shared memory, staged message arrays
     and metric shards through the pipes.
     """
-    np = _vec.np
     cfg = rt.config
     sizes = cfg.sizes
     ctx = rt.ctx
@@ -957,8 +869,6 @@ def _superstep_vectorized(
 
     pushing = out_mech == "push"
     aggregates_now = dict(ctx.aggregates)
-    num_vertices = rt.graph.num_vertices
-    combine = state.rules.combine
 
     received = None
     acc_global = None
@@ -969,34 +879,9 @@ def _superstep_vectorized(
                 msgs_gen_of, edges_of, pull_memory_of,
             )
     else:
-        chunk_dsts: List[Any] = []
-        chunk_payloads: List[Any] = []
-        for worker in rt.workers:
-            if worker.message_store is None:
-                raise RuntimeError(
-                    f"mode {mode_label} needs a message store on "
-                    f"worker {worker.worker_id}"
-                )
-            dsts, payloads, spilled_read, spilled_count = (
-                worker.message_store.load_arrays()
-            )
-            metrics.io_message_read += spilled_read
-            spill_read_of[worker.worker_id] = spilled_count
-            if dsts is not None:
-                chunk_dsts.append(dsts)
-                chunk_payloads.append(payloads)
-        if chunk_dsts:
-            if len(chunk_dsts) == 1:
-                dsts, payloads = chunk_dsts[0], chunk_payloads[0]
-            else:
-                dsts = np.concatenate(chunk_dsts)
-                payloads = np.concatenate(chunk_payloads)
-            received = np.zeros(num_vertices, dtype=bool)
-            received[dsts] = True
-            acc_global = _vec._fold(
-                dsts, payloads, num_vertices,
-                combine, state.identity, state.acc_dtype,
-            )
+        received, acc_global = _vec.load_stored_dense(
+            rt, state, metrics, spill_read_of, mode_label
+        )
 
     # Phase 2, one round: ship each worker's slice of the global fold;
     # children write values/flags into shared memory.
@@ -1075,89 +960,18 @@ def _parallel_gather_vectorized(
 ):
     """Dense Pull-Request/Pull-Respond with triple scans on the pool.
 
-    Same replay structure as the batched variant; the inbox stream is
-    rebuilt in canonical triple order from the shipped per-triple
-    (vertex ids, block-combined values) pairs, and the final global fold
-    happens here — bit-identical to ``_bpull_gather_vectorized``.
+    The inbox stream is rebuilt in canonical triple order from the
+    shipped per-triple (vertex ids, block-combined values) pairs, and
+    the final global fold happens here — bit-identical to
+    ``_bpull_gather_vectorized``.
     """
-    np = _vec.np
-    cfg = rt.config
-    state = rt.scratch["vectorized"]
-    pull = state.ensure_pull(rt)
-    resp_bytes = bytes(rt.resp_prev.data)
-    replies = pool.run_round("gather", [
-        ("gather_vec", superstep, aggregates_now, resp_bytes)
-        for _shard in pool.shards
-    ])
-    merge_start = perf_counter()
-    triples: Dict[Tuple[int, int, int], Any] = {}
-    stats: Dict[int, tuple] = {}
-    disks: Dict[int, Any] = {}
-    for reply in replies:
-        triples.update(reply["triples"])
-        stats.update(reply["stats"])
-        disks.update(reply["disk"])
-
-    send_buffer_peak = {w.worker_id: 0 for w in rt.workers}
-    recv_block_peak = {w.worker_id: 0 for w in rt.workers}
-    stream_dsts: List[Any] = []
-    stream_vals: List[Any] = []
-    send_request = rt.network.send_request
-    transfer = rt.network.transfer
-    for requester in rt.workers:
-        rx = requester.worker_id
-        for block_id in requester.veblock.local_blocks:
-            block_received = 0
-            for responder in rt.workers:
-                ry = responder.worker_id
-                send_request(rx, ry)
-                got = triples.get((rx, block_id, ry))
-                if got is None:
-                    continue
-                nvalues, ngroups, nbytes, got_vids, acc_vals = got
-                metrics.raw_messages += nvalues
-                msgs_gen_of[ry] += nvalues
-                if nbytes > send_buffer_peak[ry]:
-                    send_buffer_peak[ry] = nbytes
-                transfer(ry, rx, nbytes, units=ngroups)
-                if ry != rx:
-                    metrics.mco += nvalues - ngroups
-                block_received += nbytes
-                stream_dsts.append(got_vids)
-                stream_vals.append(acc_vals)
-            if block_received > recv_block_peak[rx]:
-                recv_block_peak[rx] = block_received
-
-    for worker in rt.workers:
-        wid = worker.worker_id
-        edges_scanned, aux_bytes, edge_bytes, vrr_bytes = stats[wid]
-        metrics.edges_scanned += edges_scanned
-        edges_of[wid] += edges_scanned
-        metrics.io_fragments += aux_bytes
-        metrics.io_edges_bpull += edge_bytes
-        metrics.io_vrr += vrr_bytes
-        factor = 2 if cfg.prepull else 1
-        pull_memory_of[wid] += (
-            factor * recv_block_peak[wid] + send_buffer_peak[wid]
-        )
-        worker.disk.counters.add(disks[wid])
-    pool.note_merge(perf_counter() - merge_start)
-
-    if not stream_dsts:
-        return None, None
-    if len(stream_dsts) == 1:
-        dsts, vals = stream_dsts[0], stream_vals[0]
-    else:
-        dsts = np.concatenate(stream_dsts)
-        vals = np.concatenate(stream_vals)
-    num_vertices = rt.graph.num_vertices
-    received = np.zeros(num_vertices, dtype=bool)
-    received[dsts] = True
-    acc_global = _vec._fold(
-        dsts, vals, num_vertices,
-        state.rules.combine, state.identity, state.acc_dtype,
+    stream: List[Tuple[Any, Any]] = []
+    _replay_pool_gather(
+        rt, pool, "gather_vec", superstep, aggregates_now,
+        metrics, msgs_gen_of, edges_of, pull_memory_of,
+        lambda _rx, pair: stream.append(pair),
     )
-    return received, acc_global
+    return _vec.fold_stream(rt.scratch["vectorized"], stream)
 
 
 def _emit_pool_spans(rt, pool, metrics: SuperstepMetrics) -> None:

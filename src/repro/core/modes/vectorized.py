@@ -46,7 +46,10 @@ np = _numpy
 
 from repro.core.api import VertexProgram
 from repro.core.metrics import SuperstepMetrics
-from repro.core.modes.common import finalize_superstep_metrics
+from repro.core.modes.common import (
+    finalize_superstep_metrics,
+    replay_pull_requests,
+)
 from repro.storage.messages import LoadResult
 
 __all__ = [
@@ -56,6 +59,9 @@ __all__ = [
     "compute_worker_update",
     "apply_update_shard",
     "triple_contribution",
+    "dense_responder",
+    "fold_stream",
+    "load_stored_dense",
 ]
 
 #: dense combines the executor knows how to fold.
@@ -672,7 +678,7 @@ def triple_contribution(
     state: "_VecState",
     responder,
     bundle: "_TripleBundle",
-    block_size: int,
+    block_vids,
     block_res,
     resp_bool,
     payload_all,
@@ -683,9 +689,10 @@ def triple_contribution(
 
     Charges the responder's disk and scan *stats* (order-independent
     sums) and returns ``None`` when nothing responds, else
-    ``(nvalues, ngroups, nbytes, got, acc_block)`` — the block-local
-    combine the caller transfers and appends to the inbox stream.  Pass
-    ``payload_all=None`` for non-uniform programs.
+    ``(nvalues, ngroups, nbytes, ngroups, (vids, combined))`` — the
+    :func:`~repro.core.modes.common.replay_pull_requests` result whose
+    payload is the block-local combine, hit vertices in ascending id
+    order.  Pass ``payload_all=None`` for non-uniform programs.
     """
     sizes = rt.config.sizes
     rules = state.rules
@@ -737,6 +744,7 @@ def triple_contribution(
         if len(payloads) == 0:
             return None
     nvalues = len(positions)
+    block_size = len(block_vids)
     got = np.zeros(block_size, dtype=bool)
     got[positions] = True
     acc_block = _fold(
@@ -745,7 +753,93 @@ def triple_contribution(
     )
     ngroups = int(got.sum())
     nbytes = sizes.combined(ngroups)
-    return nvalues, ngroups, nbytes, got, acc_block
+    return (
+        nvalues, ngroups, nbytes, ngroups,
+        (block_vids[got], acc_block[got]),
+    )
+
+
+def dense_responder(rt, state: "_VecState", resp_data):
+    """The dense tier's ``respond`` callback over the flag bytes
+    *resp_data*.
+
+    Returns ``(respond, scan_stats)`` where ``scan_stats`` maps each
+    responder id to its ``[edges, aux_bytes, edge_bytes, vrr_bytes]``
+    accumulated by the callback.
+    """
+    pull = state.ensure_pull(rt)
+    resp = np.frombuffer(resp_data, dtype=np.uint8)
+    resp_bool = resp.view(np.bool_)
+    block_res = np.fromiter(
+        (bool(resp[vids].any()) for vids in pull.block_vids),
+        dtype=bool, count=len(pull.block_vids),
+    )
+    payload_all = payload_valid = None
+    if rt.program.uniform_messages:
+        # payloads depend only on the source's (pre-update) value, so
+        # one dense evaluation replaces the scalar memoization.
+        payload_all, payload_valid = state.rules.source_payloads(
+            rt.ctx, state.values, state.out_degrees, np
+        )
+    scan_stats = {w.worker_id: [0, 0, 0, 0] for w in rt.workers}
+
+    def respond(_rx: int, block_id: int, responder):
+        ry = responder.worker_id
+        bundle = pull.by_dst[ry].get(block_id)
+        if bundle is None:
+            return None
+        return triple_contribution(
+            rt, state, responder, bundle, pull.block_vids[block_id],
+            block_res, resp_bool, payload_all, payload_valid,
+            scan_stats[ry],
+        )
+
+    return respond, scan_stats
+
+
+def load_stored_dense(rt, state: "_VecState", metrics, spill_read_of,
+                      mode_label: str):
+    """Drain every worker's array message store (the ``stored`` input)
+    and fold the messages into ``(received, acc_global)``."""
+    chunks: List[Tuple[Any, Any]] = []
+    for worker in rt.workers:
+        if worker.message_store is None:
+            raise RuntimeError(
+                f"mode {mode_label} needs a message store on "
+                f"worker {worker.worker_id}"
+            )
+        dsts, payloads, spilled_read, spilled_count = (
+            worker.message_store.load_arrays()
+        )
+        metrics.io_message_read += spilled_read
+        spill_read_of[worker.worker_id] = spilled_count
+        if dsts is not None:
+            chunks.append((dsts, payloads))
+    # Stores hold disjoint (locally owned) destination sets, so
+    # concatenating the per-worker streams in worker order keeps each
+    # vertex's message order equal to the scalar inbox's.
+    return fold_stream(state, chunks)
+
+
+def fold_stream(state: "_VecState", stream: List[Tuple[Any, Any]]):
+    """Fold ``(dsts, values)`` chunks, in stream order, into
+    ``(received, acc_global)`` dense arrays (``(None, None)`` when
+    nothing arrived)."""
+    if not stream:
+        return None, None
+    if len(stream) == 1:
+        dsts, vals = stream[0]
+    else:
+        dsts = np.concatenate([vids for vids, _vals in stream])
+        vals = np.concatenate([vals for _vids, vals in stream])
+    num_vertices = len(state.values)
+    received = np.zeros(num_vertices, dtype=bool)
+    received[dsts] = True
+    acc_global = _fold(
+        dsts, vals, num_vertices,
+        state.rules.combine, state.identity, state.acc_dtype,
+    )
+    return received, acc_global
 
 
 # ----------------------------------------------------------------------
@@ -770,7 +864,6 @@ def run_superstep_vectorized(
 
     cfg = rt.config
     sizes = cfg.sizes
-    program = rt.program
     ctx = rt.ctx
     ctx.superstep = superstep
     rt.network.begin_superstep(superstep)
@@ -792,10 +885,6 @@ def run_superstep_vectorized(
     pushing = out_mech == "push"
     num_workers = len(rt.workers)
     values = state.values
-    num_vertices = len(values)
-    rules = state.rules
-    combine = rules.combine
-    uniform = program.uniform_messages
 
     # ------------------------------------------------------------------
     # Phase 0/1: obtain this superstep's messages as a dense fold.
@@ -809,37 +898,9 @@ def run_superstep_vectorized(
                 msgs_gen_of, edges_of, pull_memory_of,
             )
     else:
-        chunk_dsts: List[Any] = []
-        chunk_payloads: List[Any] = []
-        for worker in rt.workers:
-            if worker.message_store is None:
-                raise RuntimeError(
-                    f"mode {mode_label} needs a message store on "
-                    f"worker {worker.worker_id}"
-                )
-            dsts, payloads, spilled_read, spilled_count = (
-                worker.message_store.load_arrays()
-            )
-            metrics.io_message_read += spilled_read
-            spill_read_of[worker.worker_id] = spilled_count
-            if dsts is not None:
-                chunk_dsts.append(dsts)
-                chunk_payloads.append(payloads)
-        if chunk_dsts:
-            # Stores hold disjoint (locally owned) destination sets, so
-            # concatenating the per-worker streams in worker order keeps
-            # each vertex's message order equal to the scalar inbox's.
-            if len(chunk_dsts) == 1:
-                dsts, payloads = chunk_dsts[0], chunk_payloads[0]
-            else:
-                dsts = np.concatenate(chunk_dsts)
-                payloads = np.concatenate(chunk_payloads)
-            received = np.zeros(num_vertices, dtype=bool)
-            received[dsts] = True
-            acc_global = _fold(
-                dsts, payloads, num_vertices,
-                combine, state.identity, state.acc_dtype,
-            )
+        received, acc_global = load_stored_dense(
+            rt, state, metrics, spill_read_of, mode_label
+        )
 
     # ------------------------------------------------------------------
     # Phase 2: dense update; stage outgoing arrays if pushing.
@@ -915,103 +976,11 @@ def _bpull_gather_vectorized(
     pair results happens in triple-iteration order — a single flat fold
     over all edges would regroup the floats and break bit-identity.
     """
-    cfg = rt.config
-    sizes = cfg.sizes
-    program = rt.program
-    ctx = rt.ctx
-    pull = state.ensure_pull(rt)
-    values = state.values
-    rules = state.rules
-    combine = rules.combine
-    uniform = program.uniform_messages
-    num_vertices = len(values)
-
-    resp = np.frombuffer(rt.resp_prev.data, dtype=np.uint8)
-    resp_bool = resp.view(np.bool_)
-    block_res = np.fromiter(
-        (bool(resp[vids].any()) for vids in pull.block_vids),
-        dtype=bool, count=len(pull.block_vids),
+    respond, scan_stats = dense_responder(rt, state, rt.resp_prev.data)
+    stream: List[Tuple[Any, Any]] = []
+    replay_pull_requests(
+        rt, metrics, msgs_gen_of, edges_of, pull_memory_of,
+        respond, lambda _rx, pair: stream.append(pair),
+        lambda worker: scan_stats[worker.worker_id],
     )
-    payload_all = payload_valid = None
-    if uniform:
-        # payloads depend only on the source's (pre-update) value, so
-        # one dense evaluation replaces the scalar memoization.
-        payload_all, payload_valid = rules.source_payloads(
-            ctx, values, state.out_degrees, np
-        )
-
-    send_buffer_peak = {w.worker_id: 0 for w in rt.workers}
-    recv_block_peak = {w.worker_id: 0 for w in rt.workers}
-    # per-responder [edges, aux_bytes, edge_bytes, vrr_bytes]
-    scan_stats = {w.worker_id: [0, 0, 0, 0] for w in rt.workers}
-    stream_dsts: List[Any] = []
-    stream_vals: List[Any] = []
-    transfer = rt.network.transfer
-    send_request = rt.network.send_request
-
-    for requester in rt.workers:
-        rx = requester.worker_id
-        for block_id in requester.veblock.local_blocks:
-            block_received = 0
-            block_vids = pull.block_vids[block_id]
-            block_size = len(block_vids)
-            for responder in rt.workers:
-                ry = responder.worker_id
-                send_request(rx, ry)
-                bundle = pull.by_dst[ry].get(block_id)
-                if bundle is None:
-                    continue
-                result = triple_contribution(
-                    rt, state, responder, bundle, block_size,
-                    block_res, resp_bool, payload_all, payload_valid,
-                    scan_stats[ry],
-                )
-                if result is None:
-                    continue
-                nvalues, ngroups, nbytes, got, acc_block = result
-                metrics.raw_messages += nvalues
-                msgs_gen_of[ry] += nvalues
-                if nbytes > send_buffer_peak[ry]:
-                    send_buffer_peak[ry] = nbytes
-                transfer(ry, rx, nbytes, units=ngroups)
-                if ry != rx:
-                    metrics.mco += nvalues - ngroups
-                block_received += nbytes
-                # inbox append order: ascending vertex id within the
-                # pair (the scalar sorted(cbuffer.items())), pairs in
-                # triple-iteration order.
-                stream_dsts.append(block_vids[got])
-                stream_vals.append(acc_block[got])
-            if block_received > recv_block_peak[rx]:
-                recv_block_peak[rx] = block_received
-
-    # scan statistics -> metrics (the batched tail, verbatim semantics)
-    for worker in rt.workers:
-        wid = worker.worker_id
-        edges_scanned, aux_bytes, edge_bytes, vrr_bytes = (
-            scan_stats[wid]
-        )
-        metrics.edges_scanned += edges_scanned
-        edges_of[wid] += edges_scanned
-        metrics.io_fragments += aux_bytes
-        metrics.io_edges_bpull += edge_bytes
-        metrics.io_vrr += vrr_bytes
-        factor = 2 if cfg.prepull else 1
-        pull_memory_of[wid] += (
-            factor * recv_block_peak[wid] + send_buffer_peak[wid]
-        )
-
-    if not stream_dsts:
-        return None, None
-    if len(stream_dsts) == 1:
-        dsts, vals = stream_dsts[0], stream_vals[0]
-    else:
-        dsts = np.concatenate(stream_dsts)
-        vals = np.concatenate(stream_vals)
-    received = np.zeros(num_vertices, dtype=bool)
-    received[dsts] = True
-    acc_global = _fold(
-        dsts, vals, num_vertices,
-        combine, state.identity, state.acc_dtype,
-    )
-    return received, acc_global
+    return fold_stream(state, stream)

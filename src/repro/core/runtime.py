@@ -427,9 +427,7 @@ class Runtime:
                     * cfg.cluster.cpu.load_parse_per_edge
                 )
             if worker.veblock is not None:
-                num_edges = sum(
-                    self.graph.out_degree(v) for v in worker.vertices
-                )
+                num_edges = worker.veblock.num_local_edges
                 edge_bytes = cfg.sizes.edges(num_edges)
                 worker.disk.write(edge_bytes, sequential=True)  # temp runs
                 worker.disk.read(edge_bytes, sequential=True)   # sort read

@@ -25,11 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.core.graph import Graph, Partition
+from repro.core.graph import Edge, Graph, Partition
 from repro.storage.disk import SimulatedDisk
 from repro.storage.records import RecordSizes
 
-__all__ = ["BlockLayout", "EBlock", "VBlockMeta", "VEBlockStore"]
+__all__ = ["BlockLayout", "Fragment", "VBlockMeta", "VEBlockStore"]
 
 
 @dataclass(frozen=True)
@@ -90,43 +90,26 @@ class BlockLayout:
         )
 
 
-@dataclass
-class EBlock:
-    """Edges from one source Vblock into one destination Vblock.
-
-    ``fragments`` lists ``(svertex, edges)`` with edges clustered per
-    svertex, in svertex-id order (the clustering that makes Pull-Respond
-    sequential).
-    """
-
-    src_block: int
-    dst_block: int
-    fragments: List[Tuple[int, List[Tuple[int, float]]]] = field(
-        default_factory=list
-    )
-
-    @property
-    def num_fragments(self) -> int:
-        return len(self.fragments)
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(edges) for _v, edges in self.fragments)
-
-    def bytes_on_disk(self, sizes: RecordSizes) -> int:
-        return sizes.fragments(self.num_fragments) + sizes.edges(self.num_edges)
+#: ``(svertex, edges)``: one svertex's out-edges into one Vblock.
+Fragment = Tuple[int, List[Edge]]
 
 
 @dataclass
 class VBlockMeta:
-    """Per-Vblock metadata ``X_j`` (kept in memory on the owner)."""
+    """Per-Vblock metadata ``X_j`` (kept in memory on the owner).
+
+    The paper's ``X_j`` also holds #svertices, total in-degree and total
+    out-degree.  Nothing in the simulator reads them, so they are not
+    stored; :meth:`memory_bytes` still charges their 16 counter bytes.
+    """
 
     block_id: int
-    num_vertices: int
-    in_degree: int
-    out_degree: int
     #: destination block ids with at least one edge from this block.
     bitmap: Set[int] = field(default_factory=set)
+    #: edge bytes and fragment-aux bytes of all this block's Eblocks —
+    #: what b-pull reads when the block responds to every request.
+    scan_edge_bytes: int = 0
+    scan_aux_bytes: int = 0
     #: responding indicator, refreshed every superstep.
     res: bool = False
 
@@ -170,86 +153,70 @@ class VEBlockStore:
         self._disk = disk
         self._sizes = sizes
         self._local_blocks = layout.blocks_of(worker)
-        self._eblocks: Dict[Tuple[int, int], EBlock] = {}
+        #: (src_block, dst_block) -> (fragments, #fragments, #edges) of
+        #: every non-empty Eblock; the counts never change after build.
+        self._eblocks: Dict[
+            Tuple[int, int], Tuple[List[Fragment], int, int]
+        ] = {}
         self.meta: Dict[int, VBlockMeta] = {}
         #: per-vertex number of fragments (distinct destination blocks).
         self._fragments_of_vertex: Dict[int, int] = {}
-        self._build(partition, fragment_clustering)
-        # Eblocks are immutable once built; precompute the size triple
-        # (num_fragments, num_edges, bytes_on_disk) per Eblock and the
-        # per-source-block scan totals so the superstep hot paths and the
-        # switcher's estimator stop recomputing them via generator sums.
-        self._eblock_sizes: Dict[
-            Tuple[int, int], Tuple[int, int, int, int, int]
-        ] = {
-            key: (
-                eb.num_fragments,
-                eb.num_edges,
-                eb.bytes_on_disk(sizes),
-                sizes.fragments(eb.num_fragments),
-                sizes.edges(eb.num_edges),
-            )
-            for key, eb in self._eblocks.items()
-        }
-        self._block_scan_bytes: Dict[int, Tuple[int, int]] = {}
-        for src_block in self._local_blocks:
-            edge_bytes = 0
-            aux_bytes = 0
-            for dst_block in self.meta[src_block].bitmap:
-                entry = self._eblock_sizes[(src_block, dst_block)]
-                aux_bytes += entry[3]
-                edge_bytes += entry[4]
-            self._block_scan_bytes[src_block] = (edge_bytes, aux_bytes)
-        self._total_fragments = sum(
-            entry[0] for entry in self._eblock_sizes.values()
-        )
+        self._num_fragments = 0
+        self._num_edges = 0
+        self._build(fragment_clustering)
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _build(self, partition: Partition, clustering: bool) -> None:
+    def _build(self, clustering: bool) -> None:
+        """One bucketing pass over the local out-edges fills every table."""
         layout = self._layout
-        in_degs: Dict[int, int] = {}
+        block_of = layout.block_of_vertex
+        out_edges = self._graph.out_edges
+        fragments_of_vertex = self._fragments_of_vertex
+        sizes = self._sizes
         for src_block in self._local_blocks:
-            per_dst: Dict[int, List[Tuple[int, List[Tuple[int, float]]]]] = {}
-            out_deg = 0
+            per_dst: Dict[int, List[Fragment]] = {}
+            edges_to: Dict[int, int] = {}
             for vid in layout.block_vertices[src_block]:
-                buckets: Dict[int, List[Tuple[int, float]]] = {}
-                for dst, weight in self._graph.out_edges(vid):
-                    buckets.setdefault(
-                        layout.block_of_vertex[dst], []
-                    ).append((dst, weight))
-                    out_deg += 1
-                self._fragments_of_vertex[vid] = len(buckets)
-                for dst_block, edges in buckets.items():
-                    frags = per_dst.setdefault(dst_block, [])
-                    if clustering:
-                        frags.append((vid, edges))
+                edges = out_edges(vid)
+                buckets: Dict[int, List[Edge]] = {}
+                for edge in edges:
+                    dst_block = block_of[edge[0]]
+                    if dst_block in buckets:
+                        buckets[dst_block].append(edge)
                     else:
-                        frags.extend((vid, [edge]) for edge in edges)
-            for dst_block, frags in per_dst.items():
-                self._eblocks[(src_block, dst_block)] = EBlock(
-                    src_block=src_block, dst_block=dst_block, fragments=frags
+                        buckets[dst_block] = [edge]
+                fragments_of_vertex[vid] = (
+                    len(buckets) if clustering else len(edges)
                 )
-            if not clustering:
-                # one fragment per edge: override the per-vertex counts
-                for vid in layout.block_vertices[src_block]:
-                    self._fragments_of_vertex[vid] = self._graph.out_degree(vid)
+                for dst_block, bucket in buckets.items():
+                    frags = per_dst.get(dst_block)
+                    if frags is None:
+                        frags = per_dst[dst_block] = []
+                        edges_to[dst_block] = 0
+                    if clustering:
+                        frags.append((vid, bucket))
+                    else:
+                        frags.extend((vid, [edge]) for edge in bucket)
+                    edges_to[dst_block] += len(bucket)
+            block_fragments = 0
+            block_edges = 0
+            for dst_block, frags in per_dst.items():
+                num_edges = edges_to[dst_block]
+                self._eblocks[(src_block, dst_block)] = (
+                    frags, len(frags), num_edges
+                )
+                block_fragments += len(frags)
+                block_edges += num_edges
             self.meta[src_block] = VBlockMeta(
                 block_id=src_block,
-                num_vertices=len(layout.block_vertices[src_block]),
-                in_degree=0,  # filled below
-                out_degree=out_deg,
-                bitmap={dst for (_s, dst) in self._eblocks if _s == src_block},
+                bitmap=set(per_dst),
+                scan_edge_bytes=sizes.edges(block_edges),
+                scan_aux_bytes=sizes.fragments(block_fragments),
             )
-        # in-degrees of local blocks need a pass over all edges once.
-        for src in self._graph.vertices():
-            for dst, _w in self._graph.out_edges(src):
-                blk = layout.block_of_vertex[dst]
-                if blk in self.meta:
-                    in_degs[blk] = in_degs.get(blk, 0) + 1
-        for blk, meta in self.meta.items():
-            meta.in_degree = in_degs.get(blk, 0)
+            self._num_fragments += block_fragments
+            self._num_edges += block_edges
 
     # ------------------------------------------------------------------
     # sizes and loading
@@ -262,26 +229,37 @@ class VEBlockStore:
     def layout(self) -> BlockLayout:
         return self._layout
 
+    @property
+    def num_local_edges(self) -> int:
+        """Out-edges of this worker's vertices."""
+        return self._num_edges
+
     def total_fragments(self) -> int:
         """``f`` — fragments covering all local outgoing edges."""
-        return self._total_fragments
+        return self._num_fragments
 
     def fragments_of_vertex(self, vid: int) -> int:
         return self._fragments_of_vertex.get(vid, 0)
 
-    def eblock(self, src_block: int, dst_block: int) -> Optional[EBlock]:
+    def eblock(
+        self, src_block: int, dst_block: int
+    ) -> Optional[Tuple[List[Fragment], int, int]]:
+        """``(fragments, #fragments, #edges)`` of Eblock ``g_ij``, or
+        None when it is empty."""
         return self._eblocks.get((src_block, dst_block))
 
     def load_write_bytes(self) -> int:
         """Bytes written to build VE-BLOCK (Vblocks + Eblocks + aux)."""
+        sizes = self._sizes
         vertex_bytes = sum(
-            self._sizes.vertices(len(self._layout.block_vertices[b]))
+            sizes.vertices(len(self._layout.block_vertices[b]))
             for b in self._local_blocks
         )
-        eblock_bytes = sum(
-            entry[2] for entry in self._eblock_sizes.values()
+        return (
+            vertex_bytes
+            + sizes.fragments(self._num_fragments)
+            + sizes.edges(self._num_edges)
         )
-        return vertex_bytes + eblock_bytes
 
     def charge_load(self) -> None:
         self._disk.write(self.load_write_bytes(), sequential=True)
@@ -313,68 +291,71 @@ class VEBlockStore:
                 map(raw.__getitem__, self._layout.block_vertices[blk])
             )
 
+    def _scanned_eblocks(
+        self, dst_block: int
+    ) -> Iterator[Tuple[List[Fragment], int]]:
+        """Eblocks a pull request for *dst_block* scans, in block order.
+
+        Yields ``(fragments, bytes_on_disk)`` for every local Eblock
+        ``g_ji`` whose metadata passes the ``res``/bitmap checks and
+        adds its sizes to the scan statistics.  Blocks that fail the
+        checks are skipped for free — that is the whole point of
+        ``X_j``.
+        """
+        sizes = self._sizes
+        for src_block in self._local_blocks:
+            meta = self.meta[src_block]
+            if not meta.res or dst_block not in meta.bitmap:
+                continue
+            fragments, num_fragments, num_edges = self._eblocks[
+                (src_block, dst_block)
+            ]
+            aux_bytes = sizes.fragments(num_fragments)
+            edge_bytes = sizes.edges(num_edges)
+            self._stats_edges += num_edges
+            self._stats_aux += aux_bytes
+            self._stats_edge_bytes += edge_bytes
+            yield fragments, aux_bytes + edge_bytes
+
     def scan_for_request(
         self, dst_block: int, responding: Sequence[bool]
-    ) -> Iterator[Tuple[int, List[Tuple[int, float]]]]:
+    ) -> Iterator[Fragment]:
         """Answer a pull request for *dst_block* (Algorithm 2).
 
         Yields ``(svertex, edges)`` for each responding fragment, charging
 
         * a sequential read of every scanned Eblock (aux + all edges), and
         * a random read of ``S_v`` per responding fragment (``IO(V_rr)``).
-
-        Blocks whose metadata fails the ``res``/bitmap checks are skipped
-        for free — that is the whole point of ``X_j``.
         """
-        sizes = self._sizes
+        value_bytes = self._sizes.vertex_value
         raw = getattr(responding, "data", responding)
-        for src_block in self._local_blocks:
-            meta = self.meta[src_block]
-            if not meta.res or dst_block not in meta.bitmap:
-                continue
-            eblock = self._eblocks[(src_block, dst_block)]
-            self._disk.read(eblock.bytes_on_disk(sizes), sequential=True)
-            self._stats_edges += eblock.num_edges
-            self._stats_aux += sizes.fragments(eblock.num_fragments)
-            self._stats_edge_bytes += sizes.edges(eblock.num_edges)
-            for svertex, edges in eblock.fragments:
+        for fragments, disk_bytes in self._scanned_eblocks(dst_block):
+            self._disk.read(disk_bytes, sequential=True)
+            for svertex, edges in fragments:
                 if raw[svertex]:
-                    self._disk.read(sizes.vertex_value, sequential=False)
-                    self._stats_vrr += sizes.vertex_value
+                    self._disk.read(value_bytes, sequential=False)
+                    self._stats_vrr += value_bytes
                     yield svertex, edges
 
     def collect_for_request(
         self, dst_block: int, responding: Sequence[bool]
-    ) -> List[Tuple[int, List[Tuple[int, float]]]]:
+    ) -> List[Fragment]:
         """Batched :meth:`scan_for_request` for the optimized executor.
 
         Charges and yields exactly what :meth:`scan_for_request` does —
         the same Eblocks sequentially read in the same order, the same
-        ``S_v`` random-read bytes per responding fragment — but uses the
-        precomputed Eblock sizes, aggregates the random reads into one
-        bulk charge, and returns a list instead of resuming a generator
-        per fragment.  Byte counters come out identical; only the Python
-        overhead differs.
+        ``S_v`` random-read bytes per responding fragment — but
+        aggregates the reads into two bulk charges and returns a list
+        instead of resuming a generator per fragment.  Byte counters
+        come out identical; only the Python overhead differs.
         """
         raw = getattr(responding, "data", responding)
-        out: List[Tuple[int, List[Tuple[int, float]]]] = []
+        out: List[Fragment] = []
         out_append = out.append
-        eblocks = self._eblocks
-        eblock_sizes = self._eblock_sizes
         seq_bytes = 0
-        for src_block in self._local_blocks:
-            meta = self.meta[src_block]
-            if not meta.res or dst_block not in meta.bitmap:
-                continue
-            key = (src_block, dst_block)
-            _nfrag, nedge, disk_bytes, aux_bytes, edge_bytes = (
-                eblock_sizes[key]
-            )
+        for fragments, disk_bytes in self._scanned_eblocks(dst_block):
             seq_bytes += disk_bytes
-            self._stats_edges += nedge
-            self._stats_aux += aux_bytes
-            self._stats_edge_bytes += edge_bytes
-            for fragment in eblocks[key].fragments:
+            for fragment in fragments:
                 if raw[fragment[0]]:
                     out_append(fragment)
         if seq_bytes:
@@ -440,11 +421,9 @@ class VEBlockStore:
             block_vertices = self._layout.block_vertices[src_block]
             if not any(map(raw.__getitem__, block_vertices)):
                 continue
-            block_edge_bytes, block_aux_bytes = self._block_scan_bytes[
-                src_block
-            ]
-            edge_bytes += block_edge_bytes
-            aux_bytes += block_aux_bytes
+            meta = self.meta[src_block]
+            edge_bytes += meta.scan_edge_bytes
+            aux_bytes += meta.scan_aux_bytes
             vrr_bytes += sizes.vertex_value * sum(
                 fragments_of[v] for v in block_vertices if raw[v]
             )

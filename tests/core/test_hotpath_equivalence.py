@@ -31,11 +31,16 @@ from repro.storage.records import DEFAULT_SIZES
 EXECUTORS = ("batched", "reference", "vectorized")
 
 
-def run_all(graph, program_factory, **cfg_kwargs):
+def run_all(graph, program_factory, parallelisms=(1,), **cfg_kwargs):
     results = []
     for executor in EXECUTORS:
-        cfg = JobConfig(executor=executor, **cfg_kwargs)
-        results.append(run_job(graph, program_factory(), cfg))
+        for parallelism in parallelisms:
+            if executor == "reference" and parallelism > 1:
+                continue  # the oracle has no pool path
+            cfg = JobConfig(
+                executor=executor, parallelism=parallelism, **cfg_kwargs
+            )
+            results.append(run_job(graph, program_factory(), cfg))
     return results
 
 
@@ -126,6 +131,29 @@ class TestExecutorEquivalence:
             g, lambda: PageRank(tolerance=1e-4), mode="hybrid",
             num_workers=4, message_buffer_per_worker=100,
             max_supersteps=20,
+        ))
+
+    @pytest.mark.parametrize("mode", ["bpull", "hybrid"])
+    @pytest.mark.parametrize(
+        "program_factory",
+        [PageRank, lambda: SSSP(source=0)],
+        ids=["pagerank", "sssp"],
+    )
+    @pytest.mark.parametrize(
+        "setting",
+        ["fragment_clustering", "bpull_combine", "prepull"],
+    )
+    def test_metrics_identical_bpull_setting_off(
+        self, mode, program_factory, setting
+    ):
+        # one-edge fragments, the concatenation inbox and the
+        # single-buffer memory term, in process and on a 2-process
+        # pool; bpull_combine=False downgrades vectorized to batched.
+        g = random_graph(300, 6, seed=42)
+        assert_identical(run_all(
+            g, program_factory, parallelisms=(1, 2), mode=mode,
+            num_workers=4, message_buffer_per_worker=100,
+            max_supersteps=6, **{setting: False},
         ))
 
     def test_unknown_executor_rejected(self):

@@ -76,10 +76,9 @@ class TestAppendixBStructure:
         g = example_graph()
         t1 = VEBlockStore(g, partition, 0, layout, SimulatedDisk(),
                           DEFAULT_SIZES)
-        # g21 holds exactly the fragment (v3, [(v2, 0.8)])
-        eblock = t1.eblock(1, 0)
-        assert eblock is not None
-        assert eblock.fragments == [(2, [(1, 0.8)])]
+        # g21 holds exactly the fragment (v3, [(v2, 0.8)]): one
+        # fragment, one edge
+        assert t1.eblock(1, 0) == ([(2, [(1, 0.8)])], 1, 1)
 
     def test_superstep2_dataflow(self):
         """Fig. 22: requesting b1 at superstep 2 yields exactly the

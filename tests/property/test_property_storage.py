@@ -29,26 +29,32 @@ def graph_and_layout(draw):
             g.add_edge(src, dst)
     workers = draw(st.integers(min_value=1, max_value=3))
     blocks = draw(st.integers(min_value=1, max_value=5))
+    clustering = draw(st.booleans())
     partition = range_partition(n, workers)
     layout = BlockLayout.build(partition, [blocks] * workers)
-    return g, partition, layout
+    return g, partition, layout, clustering
+
+
+def build(g, partition, w, layout, clustering):
+    return VEBlockStore(g, partition, w, layout, SimulatedDisk(),
+                        DEFAULT_SIZES, fragment_clustering=clustering)
 
 
 class TestVEBlockProperties:
     @FAST
     @given(graph_and_layout())
     def test_every_edge_in_exactly_one_fragment(self, data):
-        g, partition, layout = data
+        g, partition, layout, clustering = data
         seen = []
         for w in range(partition.num_workers):
-            store = VEBlockStore(g, partition, w, layout, SimulatedDisk(),
-                                 DEFAULT_SIZES)
+            store = build(g, partition, w, layout, clustering)
             for src_block in store.local_blocks:
                 for dst_block in range(layout.num_blocks):
                     eblock = store.eblock(src_block, dst_block)
                     if eblock is None:
                         continue
-                    for svertex, edges in eblock.fragments:
+                    fragments, _nfrag, _nedge = eblock
+                    for svertex, edges in fragments:
                         seen.extend(
                             (svertex, dst) for dst, _w in edges
                         )
@@ -58,11 +64,26 @@ class TestVEBlockProperties:
 
     @FAST
     @given(graph_and_layout())
-    def test_fragment_counts_consistent(self, data):
-        g, partition, layout = data
+    def test_eblock_counts_match_their_fragments(self, data):
+        g, partition, layout, clustering = data
         for w in range(partition.num_workers):
-            store = VEBlockStore(g, partition, w, layout, SimulatedDisk(),
-                                 DEFAULT_SIZES)
+            store = build(g, partition, w, layout, clustering)
+            for src_block in store.local_blocks:
+                for dst_block in store.meta[src_block].bitmap:
+                    fragments, nfrag, nedge = store.eblock(
+                        src_block, dst_block
+                    )
+                    assert nfrag == len(fragments)
+                    assert nedge == sum(len(e) for _v, e in fragments)
+                    if not clustering:
+                        assert nfrag == nedge
+
+    @FAST
+    @given(graph_and_layout())
+    def test_fragment_counts_consistent(self, data):
+        g, partition, layout, clustering = data
+        for w in range(partition.num_workers):
+            store = build(g, partition, w, layout, clustering)
             per_vertex = sum(
                 store.fragments_of_vertex(v)
                 for v in partition.vertices_of(w)
@@ -72,12 +93,11 @@ class TestVEBlockProperties:
     @FAST
     @given(graph_and_layout(), st.sets(st.integers(0, 29)))
     def test_scan_yields_exactly_responding_edges(self, data, responders):
-        g, partition, layout = data
+        g, partition, layout, clustering = data
         flags = [v in responders for v in range(g.num_vertices)]
         produced = []
         for w in range(partition.num_workers):
-            store = VEBlockStore(g, partition, w, layout, SimulatedDisk(),
-                                 DEFAULT_SIZES)
+            store = build(g, partition, w, layout, clustering)
             store.begin_superstep_stats()
             store.refresh_res(flags)
             for dst_block in range(layout.num_blocks):
@@ -93,11 +113,10 @@ class TestVEBlockProperties:
     @FAST
     @given(graph_and_layout(), st.sets(st.integers(0, 29)))
     def test_estimate_equals_actual_scan_cost(self, data, responders):
-        g, partition, layout = data
+        g, partition, layout, clustering = data
         flags = [v in responders for v in range(g.num_vertices)]
         for w in range(partition.num_workers):
-            store = VEBlockStore(g, partition, w, layout, SimulatedDisk(),
-                                 DEFAULT_SIZES)
+            store = build(g, partition, w, layout, clustering)
             store.begin_superstep_stats()
             store.refresh_res(flags)
             for dst_block in range(layout.num_blocks):

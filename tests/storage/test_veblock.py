@@ -104,7 +104,8 @@ class TestEBlocks:
                     eb = store.eblock(src_block, dst_block)
                     if eb is None:
                         continue
-                    for svertex, edges in eb.fragments:
+                    fragments, _nfrag, _nedge = eb
+                    for svertex, edges in fragments:
                         for dst, weight in edges:
                             seen.append((svertex, dst, weight))
                             # the edge belongs in this eblock
@@ -121,7 +122,8 @@ class TestEBlocks:
                     eb = store.eblock(src_block, dst_block)
                     if eb is None:
                         continue
-                    svs = [sv for sv, _e in eb.fragments]
+                    fragments, _nfrag, _nedge = eb
+                    svs = [sv for sv, _e in fragments]
                     assert len(svs) == len(set(svs))  # one fragment per sv
 
     def test_clustering_ablation_one_fragment_per_edge(self):
@@ -158,26 +160,31 @@ class TestMetadata:
                     if dst_block not in meta.bitmap:
                         assert store.eblock(blk, dst_block) is None
 
-    def test_out_degree_metadata(self):
+    def test_block_scan_bytes_sum_the_block_eblocks(self):
         g = tiny_graph()
         layout, stores = build_store(g)
+        sizes = DEFAULT_SIZES
         for store in stores:
             for blk, meta in store.meta.items():
-                expected = sum(
+                out_degree = sum(
                     g.out_degree(v) for v in layout.block_vertices[blk]
                 )
-                assert meta.out_degree == expected
+                assert meta.scan_edge_bytes == sizes.edges(out_degree)
+                fragments = sum(
+                    store.eblock(blk, dst)[1] for dst in meta.bitmap
+                )
+                assert meta.scan_aux_bytes == sizes.fragments(fragments)
 
-    def test_in_degree_metadata(self):
+    def test_num_local_edges(self):
         g = tiny_graph()
         layout, stores = build_store(g)
-        in_degs = g.in_degrees()
         for store in stores:
-            for blk, meta in store.meta.items():
-                expected = sum(
-                    in_degs[v] for v in layout.block_vertices[blk]
-                )
-                assert meta.in_degree == expected
+            assert store.num_local_edges == sum(
+                g.out_degree(v)
+                for blk in store.local_blocks
+                for v in layout.block_vertices[blk]
+            )
+        assert sum(s.num_local_edges for s in stores) == g.num_edges
 
     def test_refresh_res(self):
         g = tiny_graph()
