@@ -328,6 +328,10 @@ class JobConfig:
             raise ValueError("num_workers must be positive")
         if self.partition not in ("range", "hash"):
             raise ValueError("partition must be 'range' or 'hash'")
+        for name in ("message_buffer_per_worker", "lru_capacity_vertices"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
         if self.switching_interval < 1:
             raise ValueError("switching_interval must be >= 1")
         if self.checkpoint_interval is not None and self.checkpoint_interval < 1:

@@ -99,8 +99,16 @@ def run_superstep(
     in_mech: str,
     out_mech: str,
     mode_label: str,
+    pool=None,
 ) -> SuperstepMetrics:
-    """Execute one BSP superstep and return its metrics."""
+    """Execute one BSP superstep and return its metrics.
+
+    With the job's process *pool* (``parallelism > 1``) the pull gather's
+    triple scans and Phase 2's per-worker halves run as pool rounds
+    (:mod:`repro.core.modes.parallel`); everything else — the stored-input
+    load, the counters, routing and metric assembly — is the same code
+    either way.
+    """
     if in_mech not in ("stored", "pull"):
         raise ValueError(f"unknown input mechanism {in_mech!r}")
     if out_mech not in ("push", "flag"):
@@ -149,12 +157,20 @@ def run_superstep(
         for worker in rt.workers:
             if worker.adjacency is not None:
                 worker.adjacency.begin_superstep()
+    if pool is not None:
+        # imported here: parallel imports this module at load time
+        from repro.core.modes import parallel
 
     inbox: Dict[int, Dict[int, List[Any]]] = {}
     if in_mech == "pull" and superstep > 1:
-        inbox = bpull_gather(
-            rt, metrics, msgs_gen_of, edges_of, pull_memory_of
-        )
+        if pool is None:
+            inbox = bpull_gather(
+                rt, metrics, msgs_gen_of, edges_of, pull_memory_of
+            )
+        else:
+            inbox = parallel._parallel_gather_batched(
+                rt, pool, metrics, msgs_gen_of, edges_of, pull_memory_of
+            )
     elif in_mech == "stored" and not async_mode:
         for worker in rt.workers:
             if worker.message_store is None:
@@ -171,48 +187,49 @@ def run_superstep(
     # ------------------------------------------------------------------
     # Phase 2: update vertices; stage outgoing messages if pushing.
     # ------------------------------------------------------------------
-    staged = _staged_flows(rt)
-    uniform = program.uniform_messages
     # uniform programs stage (dsts, payload) fan-out groups instead of
     # one (dst, payload) pair per edge; see Runtime.push_fanout.
-    fanout = rt.push_fanout if (uniform and pushing) else None
-    aggregates = metrics.aggregates
-    vertex_record = sizes.vertex_record
-
-    for worker in rt.workers:
-        wid = worker.worker_id
-        if async_mode:
-            result = worker.message_store.load()
-            inbox[wid] = result.messages
-            metrics.io_message_read += result.spilled_read
-            spill_read_of[wid] = result.spilled_count
-        msgs = inbox.get(wid) or {}
-        flows = staged[wid]
-        targets, n_respond, raw_staged, edges_scanned, edge_bytes = (
-            phase2_for_worker(
-                rt, worker, superstep, msgs, pushing, fanout, flows,
-                aggregates=aggregates,
+    uniform = program.uniform_messages
+    if pool is None:
+        staged = _staged_flows(rt)
+        fanout = rt.push_fanout if (uniform and pushing) else None
+        counts: List[Tuple[int, int, int, int, int]] = []
+        for worker in rt.workers:
+            wid = worker.worker_id
+            if async_mode:
+                result = worker.message_store.load()
+                inbox[wid] = result.messages
+                metrics.io_message_read += result.spilled_read
+                spill_read_of[wid] = result.spilled_count
+            targets, *rest = phase2_for_worker(
+                rt, worker, superstep, inbox.get(wid) or {}, pushing,
+                fanout, staged[wid], aggregates=metrics.aggregates,
             )
+            counts.append((len(targets), *rest))
+            if async_mode:
+                _route_flows(rt, wid, staged[wid], metrics, uniform)
+    else:
+        staged, counts = parallel._phase2_round_batched(
+            rt, pool, metrics, inbox, pushing
         )
+    vertex_record = sizes.vertex_record
+    for wid, (num_targets, n_respond, raw_staged, edges_scanned,
+              edge_bytes) in enumerate(counts):
         rt.resp_next.add_to_count(n_respond)
-        updates_of[wid] = len(targets)
+        updates_of[wid] = num_targets
         msgs_gen_of[wid] += raw_staged
         metrics.raw_messages += raw_staged
         edges_of[wid] += edges_scanned
         metrics.edges_scanned += edges_scanned
         metrics.io_edges_push += edge_bytes
-        if targets:
-            metrics.io_vertex += 2 * len(targets) * vertex_record
-        if async_mode:
-            _route_flows(rt, wid, flows, metrics, fanout is not None)
+        metrics.io_vertex += 2 * num_targets * vertex_record
 
     # ------------------------------------------------------------------
     # Phase 3: route staged messages (push output only).
     # ------------------------------------------------------------------
     if pushing and not async_mode:
-        for worker in rt.workers:
-            _route_flows(rt, worker.worker_id, staged[worker.worker_id],
-                         metrics, fanout is not None)
+        for wid, flows in enumerate(staged):
+            _route_flows(rt, wid, flows, metrics, uniform)
 
     # ------------------------------------------------------------------
     # Metrics assembly.

@@ -32,6 +32,12 @@ coordinator-authoritative:
   the exact sequential order — which is what makes combining order,
   spill accounting, and float accumulation bit-for-bit identical.
 
+There is no separate parallel superstep: the coordinator runs the tier's
+own driver (``run_superstep`` / ``run_superstep_vectorized``) with the
+pool passed in, and the driver hands exactly two loops to this module —
+the gather's triple scans and Phase 2's per-worker updates — each as
+one barrier round plus a merge.
+
 Shapes without a parallel path (the reference executor, ``pull``/
 ``pushm`` modes, asynchronous iteration, platforms lacking ``fork`` or
 ``shared_memory``) fall back to in-process execution with the reason
@@ -54,13 +60,14 @@ from repro.core.metrics import SuperstepMetrics
 from repro.core.modes import vectorized as _vec
 from repro.core.modes.common import (
     _pull_inbox,
-    _route_flows,
     batched_responder,
-    finalize_superstep_metrics,
     inbox_sink,
     phase2_for_worker,
     replay_pull_requests,
+    run_superstep,
 )
+# kept only as the target of perfbench's modes.finalize wrap point
+from repro.core.modes.common import finalize_superstep_metrics  # noqa: F401
 from repro.obs.events import CAT_PARALLEL
 from repro.obs.tracer import NULL_TRACER
 
@@ -196,19 +203,18 @@ def _child_phase2(
             )
         )
         reply[wid] = {
-            "num_targets": len(targets),
-            "n_respond": n_respond,
+            "counts": (
+                len(targets), n_respond, raw_staged, edges_scanned,
+                edge_bytes,
+            ),
             # targets that responded, in target order (0->1 flips only,
-            # so the coordinator can replay the byte writes + count).
+            # so the coordinator can replay the byte writes).
             "resp_vids": [v for v in targets if resp_raw[v]],
             # per-vertex value deltas; the child's owned values stay
             # current locally, the coordinator's copy is authoritative
             # for checkpoints and the final result.
             "values": [(v, values[v]) for v in targets],
             "agg_stream": agg_stream,
-            "raw_staged": raw_staged,
-            "edges_scanned": edges_scanned,
-            "edge_bytes": edge_bytes,
             "disk": worker.disk.delta_since(before),
             "flows": flows,
         }
@@ -657,75 +663,44 @@ def run_superstep_parallel(
     out_mech: str,
     mode_label: str,
 ) -> SuperstepMetrics:
-    """Execute one BSP superstep across the process pool."""
-    if in_mech not in ("stored", "pull"):
-        raise ValueError(f"unknown input mechanism {in_mech!r}")
-    if out_mech not in ("push", "flag"):
-        raise ValueError(f"unknown output mechanism {out_mech!r}")
+    """Execute one BSP superstep with the tier's driver on the pool.
+
+    The driver (``run_superstep`` or ``run_superstep_vectorized``) runs
+    here unchanged except for two pool rounds: the gather's triple
+    scans (:func:`_parallel_gather_batched` /
+    :func:`_parallel_gather_vectorized`) and Phase 2
+    (:func:`_phase2_round_batched` / :func:`_phase2_round_vectorized`).
+    """
     pool = ensure_pool(rt)
     pool.round_log = []
     if rt.active_executor == "vectorized":
-        metrics = _superstep_vectorized(
-            rt, pool, superstep, in_mech, out_mech, mode_label
-        )
+        driver = _vec.run_superstep_vectorized
     else:
-        metrics = _superstep_batched(
-            rt, pool, superstep, in_mech, out_mech, mode_label
-        )
+        driver = run_superstep
+    metrics = driver(
+        rt, superstep, in_mech, out_mech, mode_label, pool=pool
+    )
     _emit_pool_spans(rt, pool, metrics)
     return metrics
 
 
-def _superstep_batched(
-    rt, pool, superstep, in_mech, out_mech, mode_label
-) -> SuperstepMetrics:
-    """Coordinator for the batched tier: sequential ``run_superstep``
-    with Phase 2 (and the gather's triple scans) farmed to the pool."""
-    cfg = rt.config
-    sizes = cfg.sizes
-    ctx = rt.ctx
-    ctx.superstep = superstep
-    rt.network.begin_superstep(superstep)
-    metrics = SuperstepMetrics(superstep=superstep, mode=mode_label)
+def _round_args(rt) -> Tuple[int, Dict[str, float]]:
+    """The superstep number and aggregates every round message carries."""
+    return rt.ctx.superstep, dict(rt.ctx.aggregates)
 
-    disk_before = {w.worker_id: w.disk.snapshot() for w in rt.workers}
-    spilled_before = {
-        w.worker_id: (
-            w.message_store.total_spilled if w.message_store else 0
-        )
-        for w in rt.workers
-    }
-    updates_of = {w.worker_id: 0 for w in rt.workers}
-    msgs_gen_of = {w.worker_id: 0 for w in rt.workers}
-    edges_of = {w.worker_id: 0 for w in rt.workers}
-    spill_read_of = {w.worker_id: 0 for w in rt.workers}
-    pull_memory_of = {w.worker_id: 0 for w in rt.workers}
 
-    pushing = out_mech == "push"
-    aggregates_now = dict(ctx.aggregates)
+def _phase2_round_batched(rt, pool, metrics, inbox, pushing):
+    """Batched Phase 2 as one pool round; returns ``(flows, counts)``.
 
-    inbox: Dict[int, Dict[int, List[Any]]] = {}
-    if in_mech == "pull" and superstep > 1:
-        inbox = _parallel_gather_batched(
-            rt, pool, metrics, superstep, aggregates_now,
-            msgs_gen_of, edges_of, pull_memory_of,
-        )
-    elif in_mech == "stored":
-        for worker in rt.workers:
-            if worker.message_store is None:
-                raise RuntimeError(
-                    f"mode {mode_label} needs a message store on "
-                    f"worker {worker.worker_id}"
-                )
-            result = worker.message_store.load()
-            inbox[worker.worker_id] = result.messages
-            metrics.io_message_read += result.spilled_read
-            spill_read_of[worker.worker_id] = result.spilled_count
-
-    # Phase 2, one round across the pool.
+    Merges the shards in fixed worker-id order — vertex values, flag
+    bytes, the aggregator streams (replaying the sequential left fold)
+    and disk deltas — and hands back each worker's staged flows and its
+    ``(targets, responding, raw staged, edges scanned, edge bytes)``
+    counts for the driver's shared counting and routing.
+    """
     replies = pool.run_round("phase2", [
         (
-            "phase2", superstep, aggregates_now, pushing,
+            "phase2", *_round_args(rt), pushing,
             {wid: inbox.get(wid) or {} for wid in shard},
         )
         for shard in pool.shards
@@ -734,73 +709,80 @@ def _superstep_batched(
     merged: Dict[int, Dict[str, Any]] = {}
     for reply in replies:
         merged.update(reply)
-
-    # Deterministic merge: fixed worker-id order, replaying exactly the
-    # per-worker work the sequential loop interleaves.
     aggregates = metrics.aggregates
     resp_raw = rt.resp_next.data
     values = rt.values
-    vertex_record = sizes.vertex_record
+    flows: List[List[List[Any]]] = []
+    counts: List[Tuple[int, int, int, int, int]] = []
     for wid in range(len(rt.workers)):
         shard = merged[wid]
         for vid, value in shard["values"]:
             values[vid] = value
         for vid in shard["resp_vids"]:
             resp_raw[vid] = 1
-        rt.resp_next.add_to_count(shard["n_respond"])
         for agg_key, agg_val in shard["agg_stream"]:
-            aggregates[agg_key] = (
-                aggregates.get(agg_key, 0.0) + agg_val
-            )
-        updates_of[wid] = shard["num_targets"]
-        msgs_gen_of[wid] += shard["raw_staged"]
-        metrics.raw_messages += shard["raw_staged"]
-        edges_of[wid] += shard["edges_scanned"]
-        metrics.edges_scanned += shard["edges_scanned"]
-        metrics.io_edges_push += shard["edge_bytes"]
-        if shard["num_targets"]:
-            metrics.io_vertex += (
-                2 * shard["num_targets"] * vertex_record
-            )
+            aggregates[agg_key] = aggregates.get(agg_key, 0.0) + agg_val
         rt.workers[wid].disk.counters.add(shard["disk"])
-
-    # Phase 3: route staged flows in sequential (src, dst) order — the
-    # network's flow-creation order and the stores' deposit/spill order
-    # are both observable.
-    if pushing:
-        fanout_form = rt.program.uniform_messages
-        for wid in range(len(rt.workers)):
-            _route_flows(
-                rt, wid, merged[wid]["flows"], metrics, fanout_form
-            )
+        flows.append(shard["flows"])
+        counts.append(shard["counts"])
     pool.note_merge(perf_counter() - merge_start)
+    return flows, counts
 
-    finalize_superstep_metrics(
-        rt, metrics, in_mech, out_mech,
-        disk_before, spilled_before,
-        updates_of, msgs_gen_of, edges_of, spill_read_of,
-        pull_memory_of,
-    )
-    return metrics
+
+def _phase2_round_vectorized(rt, pool, received, acc_global, pushing):
+    """Dense Phase 2 as one pool round; returns the per-worker shards.
+
+    Each child gets its workers' slices of the global fold and writes
+    values and flag bytes into shared memory; the coordinator adds the
+    disk deltas and adopts the flag bytes and their count.
+    """
+    state = rt.scratch["vectorized"]
+    pool.shared["resp_next"][:] = 0
+    payloads = [
+        None if received is None else {
+            wid: (
+                received[state.workers[wid].local],
+                acc_global[state.workers[wid].local],
+            )
+            for wid in shard
+        }
+        for shard in pool.shards
+    ]
+    replies = pool.run_round("phase2", [
+        ("phase2_vec", *_round_args(rt), pushing, payload)
+        for payload in payloads
+    ])
+    merge_start = perf_counter()
+    merged: Dict[int, Dict[str, Any]] = {}
+    for reply in replies:
+        merged.update(reply)
+    shards = [merged[wid] for wid in range(len(rt.workers))]
+    for worker, shard in zip(rt.workers, shards):
+        worker.disk.counters.add(shard["disk"])
+    # children flipped owned bytes of the shared segment in place; adopt
+    # them wholesale (the coordinator's buffer is clean after the
+    # engine's swap) and account the count.
+    rt.resp_next.data[:] = pool.shared["resp_next"].tobytes()
+    rt.resp_next.add_to_count(sum(shard["n_respond"] for shard in shards))
+    pool.note_merge(perf_counter() - merge_start)
+    return shards
 
 
 def _parallel_gather_batched(
-    rt, pool, metrics, superstep, aggregates_now,
-    msgs_gen_of, edges_of, pull_memory_of,
+    rt, pool, metrics, msgs_gen_of, edges_of, pull_memory_of,
 ) -> Dict[int, Dict[int, List[Any]]]:
     """Pull-Request/Pull-Respond with the triple scans on the pool."""
     inbox = _pull_inbox(rt)
     _replay_pool_gather(
-        rt, pool, "gather", superstep, aggregates_now,
-        metrics, msgs_gen_of, edges_of, pull_memory_of,
-        inbox_sink(rt, inbox),
+        rt, pool, "gather", metrics, msgs_gen_of, edges_of,
+        pull_memory_of, inbox_sink(rt, inbox),
     )
     return inbox
 
 
 def _replay_pool_gather(
-    rt, pool, kind, superstep, aggregates_now,
-    metrics, msgs_gen_of, edges_of, pull_memory_of, deliver,
+    rt, pool, kind, metrics, msgs_gen_of, edges_of, pull_memory_of,
+    deliver,
 ) -> None:
     """Scan every triple on the pool, then replay Algorithm 1 here.
 
@@ -814,8 +796,7 @@ def _replay_pool_gather(
     """
     resp_bytes = bytes(rt.resp_prev.data)
     replies = pool.run_round("gather", [
-        (kind, superstep, aggregates_now, resp_bytes)
-        for _shard in pool.shards
+        (kind, *_round_args(rt), resp_bytes) for _shard in pool.shards
     ])
     merge_start = perf_counter()
     triples: Dict[Tuple[int, int, int], Any] = {}
@@ -836,127 +817,8 @@ def _replay_pool_gather(
     pool.note_merge(perf_counter() - merge_start)
 
 
-def _superstep_vectorized(
-    rt, pool, superstep, in_mech, out_mech, mode_label
-) -> SuperstepMetrics:
-    """Coordinator for the vectorized tier.
-
-    Mirrors ``run_superstep_vectorized`` with the per-worker dense
-    update (and the gather's triple scans) on the pool; values and
-    responding flags travel through shared memory, staged message arrays
-    and metric shards through the pipes.
-    """
-    cfg = rt.config
-    sizes = cfg.sizes
-    ctx = rt.ctx
-    ctx.superstep = superstep
-    rt.network.begin_superstep(superstep)
-    metrics = SuperstepMetrics(superstep=superstep, mode=mode_label)
-    state = rt.scratch["vectorized"]
-
-    disk_before = {w.worker_id: w.disk.snapshot() for w in rt.workers}
-    spilled_before = {
-        w.worker_id: (
-            w.message_store.total_spilled if w.message_store else 0
-        )
-        for w in rt.workers
-    }
-    updates_of = {w.worker_id: 0 for w in rt.workers}
-    msgs_gen_of = {w.worker_id: 0 for w in rt.workers}
-    edges_of = {w.worker_id: 0 for w in rt.workers}
-    spill_read_of = {w.worker_id: 0 for w in rt.workers}
-    pull_memory_of = {w.worker_id: 0 for w in rt.workers}
-
-    pushing = out_mech == "push"
-    aggregates_now = dict(ctx.aggregates)
-
-    received = None
-    acc_global = None
-    if in_mech == "pull":
-        if superstep > 1:
-            received, acc_global = _parallel_gather_vectorized(
-                rt, pool, metrics, superstep, aggregates_now,
-                msgs_gen_of, edges_of, pull_memory_of,
-            )
-    else:
-        received, acc_global = _vec.load_stored_dense(
-            rt, state, metrics, spill_read_of, mode_label
-        )
-
-    # Phase 2, one round: ship each worker's slice of the global fold;
-    # children write values/flags into shared memory.
-    pool.shared["resp_next"][:] = 0
-    if received is None:
-        payload_of_shard = [None] * len(pool.shards)
-    else:
-        payload_of_shard = [
-            {
-                wid: (
-                    received[state.workers[wid].local],
-                    acc_global[state.workers[wid].local],
-                )
-                for wid in shard
-            }
-            for shard in pool.shards
-        ]
-    replies = pool.run_round("phase2", [
-        ("phase2_vec", superstep, aggregates_now, pushing, payload)
-        for payload in payload_of_shard
-    ])
-    merge_start = perf_counter()
-    merged: Dict[int, Dict[str, Any]] = {}
-    for reply in replies:
-        merged.update(reply)
-
-    num_workers = len(rt.workers)
-    staged: List[List[Optional[Tuple[Any, Any]]]] = [None] * num_workers
-    total_respond = 0
-    for wid in range(num_workers):
-        shard = merged[wid]
-        _vec.apply_update_shard(
-            metrics, wid, shard, updates_of, msgs_gen_of, edges_of
-        )
-        staged[wid] = shard["staged"]
-        total_respond += shard["n_respond"]
-        rt.workers[wid].disk.counters.add(shard["disk"])
-    # flags: children flipped owned bytes of the shared segment in
-    # place; adopt them wholesale (the coordinator's buffer is clean
-    # after the engine's swap) and account the count.
-    rt.resp_next.data[:] = pool.shared["resp_next"].tobytes()
-    rt.resp_next.add_to_count(total_respond)
-
-    if pushing:
-        transfer = rt.network.transfer
-        for src_wid in range(num_workers):
-            per_src = staged[src_wid]
-            for dst_wid in range(num_workers):
-                pair = per_src[dst_wid]
-                if pair is None:
-                    continue
-                dsts, payloads = pair
-                count = len(dsts)
-                transfer(
-                    src_wid, dst_wid, sizes.messages(count),
-                    units=count,
-                )
-                rt.workers[dst_wid].message_store.deposit_arrays(
-                    dsts, payloads
-                )
-    pool.note_merge(perf_counter() - merge_start)
-
-    finalize_superstep_metrics(
-        rt, metrics, in_mech, out_mech,
-        disk_before, spilled_before,
-        updates_of, msgs_gen_of, edges_of, spill_read_of,
-        pull_memory_of,
-    )
-    rt.values[:] = state.values.tolist()
-    return metrics
-
-
 def _parallel_gather_vectorized(
-    rt, pool, metrics, superstep, aggregates_now,
-    msgs_gen_of, edges_of, pull_memory_of,
+    rt, pool, metrics, msgs_gen_of, edges_of, pull_memory_of,
 ):
     """Dense Pull-Request/Pull-Respond with triple scans on the pool.
 
@@ -967,9 +829,8 @@ def _parallel_gather_vectorized(
     """
     stream: List[Tuple[Any, Any]] = []
     _replay_pool_gather(
-        rt, pool, "gather_vec", superstep, aggregates_now,
-        metrics, msgs_gen_of, edges_of, pull_memory_of,
-        lambda _rx, pair: stream.append(pair),
+        rt, pool, "gather_vec", metrics, msgs_gen_of, edges_of,
+        pull_memory_of, lambda _rx, pair: stream.append(pair),
     )
     return _vec.fold_stream(rt.scratch["vectorized"], stream)
 

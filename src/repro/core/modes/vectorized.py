@@ -646,8 +646,8 @@ def apply_update_shard(
     """Fold one worker's update shard into shared metrics.
 
     Every field here is either an order-independent integer sum or the
-    aggregator carry fold, which the caller invokes in worker-id order
-    (sequential loop or the parallel merge phase alike).
+    aggregator carry fold, which the driver invokes in worker-id order
+    whether the shards were computed in process or on the pool.
     """
     updates_of[wid] = shard["num_targets"]
     contrib = shard["contrib"]
@@ -851,8 +851,15 @@ def run_superstep_vectorized(
     in_mech: str,
     out_mech: str,
     mode_label: str,
+    pool=None,
 ) -> SuperstepMetrics:
-    """Execute one BSP superstep with dense kernels."""
+    """Execute one BSP superstep with dense kernels.
+
+    With the job's process *pool* the gather's triple scans and the
+    per-worker dense updates run as pool rounds
+    (:mod:`repro.core.modes.parallel`); the stored-input load, the shard
+    fold, routing and metric assembly are the same code either way.
+    """
     if in_mech not in ("stored", "pull"):
         raise ValueError(f"unknown input mechanism {in_mech!r}")
     if out_mech not in ("push", "flag"):
@@ -861,6 +868,9 @@ def run_superstep_vectorized(
     if state is None:
         state = _VecState(rt)
         rt.scratch["vectorized"] = state
+    if pool is not None:
+        # imported here: parallel imports this module at load time
+        from repro.core.modes import parallel
 
     cfg = rt.config
     sizes = cfg.sizes
@@ -883,8 +893,6 @@ def run_superstep_vectorized(
     pull_memory_of = {w.worker_id: 0 for w in rt.workers}
 
     pushing = out_mech == "push"
-    num_workers = len(rt.workers)
-    values = state.values
 
     # ------------------------------------------------------------------
     # Phase 0/1: obtain this superstep's messages as a dense fold.
@@ -892,10 +900,13 @@ def run_superstep_vectorized(
     received = None
     acc_global = None
     if in_mech == "pull":
-        if superstep > 1:
+        if superstep > 1 and pool is None:
             received, acc_global = _bpull_gather_vectorized(
-                rt, state, metrics,
-                msgs_gen_of, edges_of, pull_memory_of,
+                rt, state, metrics, msgs_gen_of, edges_of, pull_memory_of
+            )
+        elif superstep > 1:
+            received, acc_global = parallel._parallel_gather_vectorized(
+                rt, pool, metrics, msgs_gen_of, edges_of, pull_memory_of
             )
     else:
         received, acc_global = load_stored_dense(
@@ -905,34 +916,33 @@ def run_superstep_vectorized(
     # ------------------------------------------------------------------
     # Phase 2: dense update; stage outgoing arrays if pushing.
     # ------------------------------------------------------------------
-    resp_view = rt.resp_next.numpy_view(np)
-    staged: List[List[Optional[Tuple[Any, Any]]]] = [
-        [None] * num_workers for _ in range(num_workers)
-    ]
-    for worker in rt.workers:
-        wid = worker.worker_id
-        local = state.workers[wid].local
-        shard = compute_worker_update(
-            rt, state, worker, superstep,
-            received[local] if received is not None else None,
-            acc_global[local] if acc_global is not None else None,
-            pushing, resp_view,
+    if pool is None:
+        resp_view = rt.resp_next.numpy_view(np)
+        shards = []
+        for worker in rt.workers:
+            local = state.workers[worker.worker_id].local
+            shards.append(compute_worker_update(
+                rt, state, worker, superstep,
+                received[local] if received is not None else None,
+                acc_global[local] if acc_global is not None else None,
+                pushing, resp_view,
+            ))
+    else:
+        shards = parallel._phase2_round_vectorized(
+            rt, pool, received, acc_global, pushing
         )
+    for wid, shard in enumerate(shards):
         apply_update_shard(
             metrics, wid, shard, updates_of, msgs_gen_of, edges_of
         )
-        staged[wid] = shard["staged"]
 
     # ------------------------------------------------------------------
     # Phase 3: route staged arrays (same flow order as batched).
     # ------------------------------------------------------------------
     if pushing:
         transfer = rt.network.transfer
-        for worker in rt.workers:
-            src_wid = worker.worker_id
-            per_src = staged[src_wid]
-            for dst_wid in range(num_workers):
-                pair = per_src[dst_wid]
+        for src_wid, shard in enumerate(shards):
+            for dst_wid, pair in enumerate(shard["staged"]):
                 if pair is None:
                     continue
                 dsts, payloads = pair
@@ -956,7 +966,7 @@ def run_superstep_vectorized(
     )
     # Keep the runtime's scalar value list in sync — checkpoints, the
     # final JobResult, and any scalar consumer read rt.values.
-    rt.values[:] = values.tolist()
+    rt.values[:] = state.values.tolist()
     return metrics
 
 

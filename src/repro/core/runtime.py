@@ -53,6 +53,8 @@ def choose_vblocks_per_worker(
     n_i = partition.size_of(worker)
     if buffer_messages is None or n_i == 0:
         return 1
+    if buffer_messages == 0:
+        return n_i  # no block fits an empty buffer: the finest layout
     t = partition.num_workers
     if combinable:
         needed = 2 * n_i + n_i * t

@@ -32,7 +32,8 @@ class LRUVertexCache:
 
     ``capacity=None`` disables the disk entirely (memory-resident
     vertices: Table 5's ``original`` / ``ext-mem`` / ``ext-edge``
-    scenarios).
+    scenarios).  ``capacity=0`` keeps nothing resident: every access
+    misses, and a dirty access writes its record back at once.
     """
 
     def __init__(
@@ -68,6 +69,10 @@ class LRUVertexCache:
             return True
         self.misses += 1
         self._disk.read(self._block_bytes, sequential=False)
+        if self._capacity == 0:
+            if dirty:
+                self._disk.write(self._block_bytes, sequential=False)
+            return False
         if len(self._entries) >= self._capacity:
             _evicted, was_dirty = self._entries.popitem(last=False)
             self.evictions += 1

@@ -39,6 +39,13 @@ class TestJobConfig:
         with pytest.raises(ValueError):
             JobConfig(switching_interval=0)
 
+    @pytest.mark.parametrize(
+        "field", ["message_buffer_per_worker", "lru_capacity_vertices"]
+    )
+    def test_negative_buffer_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            JobConfig(**{field: -3})
+
     def test_total_message_buffer(self):
         cfg = JobConfig(num_workers=4, message_buffer_per_worker=100)
         assert cfg.total_message_buffer == 400

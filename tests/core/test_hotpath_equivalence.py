@@ -73,6 +73,19 @@ class TestExecutorEquivalence:
             message_buffer_per_worker=100, max_supersteps=6,
         ))
 
+    @pytest.mark.parametrize("mode", ["push", "bpull", "hybrid", "pull"])
+    def test_metrics_identical_zero_buffer(self, mode):
+        # B_i = 0: every message spills, Vblocks hold one vertex each,
+        # and the pull baseline keeps no vertex resident.
+        g = random_graph(120, 5, seed=8)
+        results = run_all(
+            g, PageRank, parallelisms=(1, 2), mode=mode, num_workers=3,
+            message_buffer_per_worker=0, max_supersteps=4,
+        )
+        assert_identical(results)
+        if mode == "pull":
+            assert all(s.lru_misses for s in results[0].metrics.supersteps)
+
     def test_metrics_identical_hybrid_switch_supersteps(self):
         # Run to convergence so hybrid switches both ways; the executors
         # must agree on the mode trace (structurally identical runs)
@@ -104,7 +117,7 @@ class TestExecutorEquivalence:
     def test_metrics_identical_with_receiver_combine(self):
         g = random_graph(200, 5, seed=17)
         assert_identical(run_all(
-            g, PageRank, mode="push", num_workers=3,
+            g, PageRank, parallelisms=(1, 2), mode="push", num_workers=3,
             message_buffer_per_worker=50, receiver_combine=True,
             max_supersteps=5,
         ))
@@ -112,7 +125,7 @@ class TestExecutorEquivalence:
     def test_metrics_identical_with_sender_combine(self):
         g = random_graph(200, 5, seed=17)
         assert_identical(run_all(
-            g, PageRank, mode="push", num_workers=3,
+            g, PageRank, parallelisms=(1, 2), mode="push", num_workers=3,
             message_buffer_per_worker=50, sender_combine=True,
             max_supersteps=5,
         ))
@@ -120,7 +133,7 @@ class TestExecutorEquivalence:
     def test_metrics_identical_hash_partition(self):
         g = random_graph(250, 5, seed=23)
         assert_identical(run_all(
-            g, PageRank, mode="hybrid", num_workers=4,
+            g, PageRank, parallelisms=(1, 2), mode="hybrid", num_workers=4,
             partition="hash", message_buffer_per_worker=80,
             max_supersteps=6,
         ))
@@ -128,8 +141,8 @@ class TestExecutorEquivalence:
     def test_metrics_identical_with_tolerance_aggregator(self):
         g = random_graph(250, 5, seed=23)
         assert_identical(run_all(
-            g, lambda: PageRank(tolerance=1e-4), mode="hybrid",
-            num_workers=4, message_buffer_per_worker=100,
+            g, lambda: PageRank(tolerance=1e-4), parallelisms=(1, 2),
+            mode="hybrid", num_workers=4, message_buffer_per_worker=100,
             max_supersteps=20,
         ))
 
