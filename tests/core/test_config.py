@@ -39,17 +39,12 @@ class TestJobConfig:
         with pytest.raises(ValueError):
             JobConfig(switching_interval=0)
 
-    @pytest.mark.parametrize(
-        "field", ["message_buffer_per_worker", "lru_capacity_vertices"]
-    )
-    def test_negative_buffer_rejected(self, field):
-        with pytest.raises(ValueError, match=field):
-            JobConfig(**{field: -3})
-
     def test_total_message_buffer(self):
         cfg = JobConfig(num_workers=4, message_buffer_per_worker=100)
         assert cfg.total_message_buffer == 400
         assert JobConfig(message_buffer_per_worker=None).total_message_buffer is None
+        with pytest.raises(ValueError, match="message_buffer_per_worker"):
+            JobConfig(message_buffer_per_worker=-3)
 
     def test_memory_sufficient(self):
         assert JobConfig(
@@ -63,6 +58,8 @@ class TestJobConfig:
         assert cfg.lru_capacity() == 123
         cfg = cfg.but(lru_capacity_vertices=7)
         assert cfg.lru_capacity() == 7
+        with pytest.raises(ValueError, match="lru_capacity_vertices"):
+            cfg.but(lru_capacity_vertices=-3)
 
     def test_but_replaces_fields(self):
         cfg = JobConfig(mode="push")

@@ -73,19 +73,6 @@ class TestExecutorEquivalence:
             message_buffer_per_worker=100, max_supersteps=6,
         ))
 
-    @pytest.mark.parametrize("mode", ["push", "bpull", "hybrid", "pull"])
-    def test_metrics_identical_zero_buffer(self, mode):
-        # B_i = 0: every message spills, Vblocks hold one vertex each,
-        # and the pull baseline keeps no vertex resident.
-        g = random_graph(120, 5, seed=8)
-        results = run_all(
-            g, PageRank, parallelisms=(1, 2), mode=mode, num_workers=3,
-            message_buffer_per_worker=0, max_supersteps=4,
-        )
-        assert_identical(results)
-        if mode == "pull":
-            assert all(s.lru_misses for s in results[0].metrics.supersteps)
-
     def test_metrics_identical_hybrid_switch_supersteps(self):
         # Run to convergence so hybrid switches both ways; the executors
         # must agree on the mode trace (structurally identical runs)
@@ -106,6 +93,19 @@ class TestExecutorEquivalence:
             g, PageRank, mode="push", num_workers=3,
             graph_on_disk=False, max_supersteps=5,
         ))
+        # The opposite extreme, B_i = 0, on every mode: every message
+        # spills, Vblocks hold one vertex each, and the pull baseline
+        # keeps no vertex resident.
+        g = random_graph(120, 5, seed=8)
+        for mode in ("push", "bpull", "hybrid", "pull"):
+            results = run_all(
+                g, PageRank, parallelisms=(1, 2), mode=mode,
+                num_workers=3, message_buffer_per_worker=0,
+                max_supersteps=4,
+            )
+            assert_identical(results)
+        # the pull run, the loop's last, misses in every superstep
+        assert all(s.lru_misses for s in results[0].metrics.supersteps)
 
     def test_metrics_identical_pushm(self):
         g = random_graph(200, 5, seed=9)

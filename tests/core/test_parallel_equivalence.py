@@ -108,49 +108,6 @@ class TestParallelEquivalence:
         assert _dump(result) == expected
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the pool needs the fork start method",
-)
-class TestPoolSpans:
-    """The real-concurrency spans each pool round leaves in the trace."""
-
-    @pytest.mark.parametrize("executor", ["batched", "vectorized"])
-    def test_rounds_and_spans_per_superstep(self, executor):
-        cfg = JobConfig(
-            executor=executor, parallelism=2, mode="bpull", num_workers=4,
-            message_buffer_per_worker=100,
-        )
-        plain = run_job(_graph(), PageRank(supersteps=3), cfg)
-        traced = run_job(_graph(), PageRank(supersteps=3),
-                         cfg.but(trace=True))
-        assert traced.runtime.active_parallelism == 2
-        assert _dump(traced) == _dump(plain)
-        assert traced.values == plain.values
-
-        spans = [e for e in traced.trace.events if e.cat == "parallel"]
-        rounds = {}  # (superstep, round label) -> span names
-        for event in spans:
-            key = (event.superstep, event.args["round"])
-            rounds.setdefault(key, []).append(event.name)
-        supersteps = [s.superstep for s in traced.metrics.supersteps]
-        assert supersteps == [1, 2, 3]
-        expected = {(step, "phase2") for step in supersteps}
-        expected |= {(step, "gather") for step in supersteps if step >= 2}
-        assert set(rounds) == expected
-        assert len(rounds) == 5
-        for names in rounds.values():
-            assert sorted(names) == sorted(
-                ["process_busy", "process_barrier"] * 2 + ["merge"]
-            )
-        # one busy/barrier pair per pool process in every round
-        for name in ("process_busy", "process_barrier"):
-            processes = [
-                e.args["process"] for e in spans if e.name == name
-            ]
-            assert sorted(processes) == [0] * 5 + [1] * 5
-
-
 class TestRecoveryWithPool:
     """Fault injection and checkpoint restore while the pool is live."""
 
@@ -255,7 +212,7 @@ class TestFallbackSurface:
 
 
 class TestFallbackReasons:
-    """parallel_fallback_reason unit cells (no pool is ever forked)."""
+    """parallel_fallback_reason cells; the active one also runs its job."""
 
     def _runtime(self, **cfg_kwargs):
         cfg = JobConfig(num_workers=4, **cfg_kwargs)
@@ -273,3 +230,41 @@ class TestFallbackReasons:
         rt = self._runtime(mode="bpull", parallelism=2)
         assert rt.active_parallelism == 2
         assert rt.executor_fallback is None
+        for executor in ("batched", "vectorized"):
+            self._assert_pool_spans(executor)
+
+    def _assert_pool_spans(self, executor):
+        """The real-concurrency spans each pool round leaves in the trace."""
+        cfg = JobConfig(
+            executor=executor, parallelism=2, mode="bpull", num_workers=4,
+            message_buffer_per_worker=100,
+        )
+        plain = run_job(_graph(), PageRank(supersteps=3), cfg)
+        traced = run_job(_graph(), PageRank(supersteps=3),
+                         cfg.but(trace=True))
+        assert traced.runtime.active_parallelism == 2
+        assert _dump(traced) == _dump(plain)
+        assert traced.values == plain.values
+
+        spans = [e for e in traced.trace.events if e.cat == "parallel"]
+        rounds = {}  # (superstep, round label) -> span names
+        for event in spans:
+            key = (event.superstep, event.args["round"])
+            rounds.setdefault(key, []).append(event.name)
+        supersteps = [s.superstep for s in traced.metrics.supersteps]
+        assert supersteps == [1, 2, 3]
+        # a Phase-2 round every superstep, a gather round from the second
+        expected = {(step, "phase2") for step in supersteps}
+        expected |= {(step, "gather") for step in supersteps if step >= 2}
+        assert set(rounds) == expected
+        assert len(rounds) == 5
+        for names in rounds.values():
+            assert sorted(names) == sorted(
+                ["process_busy", "process_barrier"] * 2 + ["merge"]
+            )
+        # one busy/barrier pair per pool process in every round
+        for name in ("process_busy", "process_barrier"):
+            processes = [
+                e.args["process"] for e in spans if e.name == name
+            ]
+            assert sorted(processes) == [0] * 5 + [1] * 5

@@ -35,17 +35,14 @@ class TestChooseVblocks:
         p = range_partition(g.num_vertices, 2)
         assert choose_vblocks_per_worker(g, p, 0, None, True) == 1
 
-    def test_zero_buffer_one_vertex_per_block(self):
-        g = small_graph()
-        p = range_partition(g.num_vertices, 2)
-        assert choose_vblocks_per_worker(g, p, 0, 0, True) == p.size_of(0)
-
     def test_smaller_buffer_more_blocks(self):
         g = small_graph()
         p = range_partition(g.num_vertices, 2)
         big = choose_vblocks_per_worker(g, p, 0, 200, True)
         small = choose_vblocks_per_worker(g, p, 0, 20, True)
         assert small > big
+        # down to the finest layout, one vertex per Vblock, at B_i = 0
+        assert choose_vblocks_per_worker(g, p, 0, 0, True) == p.size_of(0)
 
 
 class TestRuntimeSetup:

@@ -66,7 +66,13 @@ class TestLRUVertexCache:
         assert cache.misses == 0
         assert disk.counters.total == 0
 
-    def test_capacity_zero_keeps_nothing_resident(self):
+    def test_resident_never_exceeds_capacity(self):
+        cache, _ = make(capacity=3)
+        for i in range(10):
+            cache.access(i)
+            assert cache.resident <= 3
+        # capacity 0 keeps nothing resident: every access misses and
+        # reads its block, and a dirty access writes it back at once
         cache, disk = make(capacity=0)
         assert cache.access(1) is False
         assert cache.access(1) is False
@@ -75,15 +81,8 @@ class TestLRUVertexCache:
         assert cache.hits == 0
         assert cache.resident == 0
         assert cache.memory_bytes == 0
-        # every access reads its block; the dirty one writes it at once
         assert disk.counters.random_read == 3 * DEFAULT_BLOCK_BYTES
         assert disk.counters.random_write == DEFAULT_BLOCK_BYTES
-
-    def test_resident_never_exceeds_capacity(self):
-        cache, _ = make(capacity=3)
-        for i in range(10):
-            cache.access(i)
-            assert cache.resident <= 3
 
     def test_reset_stats(self):
         cache, _ = make(capacity=2)
