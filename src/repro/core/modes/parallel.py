@@ -472,8 +472,6 @@ class _ParallelPool:
         state = _VecState(rt)
         rt.scratch["vectorized"] = state
         state.values = self._shm_array(state.values)
-        if rt.needs_veblock():
-            state.ensure_pull(rt)  # O(E) build once, inherited by fork
         n = rt.graph.num_vertices
         seg = shared_memory.SharedMemory(create=True, size=max(n, 1))
         self._segments.append(seg)

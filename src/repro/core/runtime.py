@@ -337,6 +337,7 @@ class Runtime:
                     disk,
                     cfg.sizes,
                     fragment_clustering=cfg.fragment_clustering,
+                    as_arrays=self.active_executor == "vectorized",
                 )
             if cfg.mode in ("push", "pushm", "hybrid"):
                 worker.message_store = fresh_messages(worker)

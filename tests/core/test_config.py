@@ -45,6 +45,10 @@ class TestJobConfig:
         assert JobConfig(message_buffer_per_worker=None).total_message_buffer is None
         with pytest.raises(ValueError, match="message_buffer_per_worker"):
             JobConfig(message_buffer_per_worker=-3)
+        for vblocks in (0, -1):
+            with pytest.raises(ValueError, match="vblocks_per_worker"):
+                JobConfig(vblocks_per_worker=vblocks)
+        assert JobConfig(vblocks_per_worker=1).vblocks_per_worker == 1
 
     def test_memory_sufficient(self):
         assert JobConfig(

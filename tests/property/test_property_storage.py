@@ -1,14 +1,20 @@
 """Property-based tests for the storage structures."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.graph import Graph, range_partition
+from repro.core.graph import Graph, hash_partition, range_partition
 from repro.storage.disk import SimulatedDisk
 from repro.storage.messages import SpillingMessageStore
 from repro.storage.records import DEFAULT_SIZES
 from repro.storage.veblock import BlockLayout, VEBlockStore
 from repro.storage.vertex_cache import LRUVertexCache
+
+try:  # the array build needs NumPy; the scalar checks run without it
+    import numpy
+except ImportError:  # pragma: no cover - exercised on NumPy-less hosts
+    numpy = None
 
 FAST = settings(
     max_examples=50,
@@ -18,26 +24,85 @@ FAST = settings(
 
 
 @st.composite
-def graph_and_layout(draw):
+def graph_and_layout(draw, any_partition=False):
+    """A graph, its partition and Vblock layout, and a clustering flag.
+
+    With *any_partition* the partition may be a hash partition, and the
+    out-edges of a drawn subset of workers are dropped (edge-less
+    workers).
+    """
     n = draw(st.integers(min_value=2, max_value=30))
     num_edges = draw(st.integers(min_value=0, max_value=90))
+    workers = draw(st.integers(min_value=1, max_value=3))
+    partition = range_partition(n, workers)
+    quiet = set()
+    if any_partition:
+        if draw(st.booleans()):
+            partition = hash_partition(n, workers)
+        quiet = draw(st.sets(st.integers(0, workers - 1)))
     g = Graph(n)
     for _ in range(num_edges):
         src = draw(st.integers(min_value=0, max_value=n - 1))
         dst = draw(st.integers(min_value=0, max_value=n - 1))
-        if src != dst:
+        if src != dst and partition.owner(src) not in quiet:
             g.add_edge(src, dst)
-    workers = draw(st.integers(min_value=1, max_value=3))
     blocks = draw(st.integers(min_value=1, max_value=5))
     clustering = draw(st.booleans())
-    partition = range_partition(n, workers)
     layout = BlockLayout.build(partition, [blocks] * workers)
     return g, partition, layout, clustering
 
 
-def build(g, partition, w, layout, clustering):
+def build(g, partition, w, layout, clustering, as_arrays=False):
     return VEBlockStore(g, partition, w, layout, SimulatedDisk(),
-                        DEFAULT_SIZES, fragment_clustering=clustering)
+                        DEFAULT_SIZES, fragment_clustering=clustering,
+                        as_arrays=as_arrays)
+
+
+def tables(store, flags):
+    """The count tables both builds must agree on."""
+    return (
+        {
+            blk: (m.bitmap, m.scan_edge_bytes, m.scan_aux_bytes)
+            for blk, m in store.meta.items()
+        },
+        [store.fragments_of_vertex(v) for v in range(len(flags))],
+        store.total_fragments(),
+        store.num_local_edges,
+        store.load_write_bytes(),
+        store.metadata_memory_bytes(),
+        store.estimate_bpull_scan(flags),
+    )
+
+
+def fragment_streams(store, dst_block):
+    """A scalar store's Eblocks, fragments and edges for *dst_block*,
+    concatenated in ``local_blocks`` order."""
+    eblocks, frags, edges = [], [], []
+    for src in store.local_blocks:
+        eblock = store.eblock(src, dst_block)
+        if eblock is None:
+            continue
+        fragments, nfrag, nedge = eblock
+        eblocks.append((src, nedge, nfrag))
+        for svertex, out in fragments:
+            frags.append(svertex)
+            edges.extend((svertex, dst, w) for dst, w in out)
+    return eblocks, frags, edges
+
+
+def bundle_streams(bundle, layout, dst_block):
+    """The same three streams, read from an array-built store's bundle."""
+    if bundle is None:
+        return [], [], []
+    block = layout.block_vertices[dst_block]
+    return (
+        list(zip(bundle.p_src_block.tolist(), bundle.p_nedge.tolist(),
+                 bundle.p_nfrag.tolist())),
+        bundle.f_sv.tolist(),
+        list(zip(bundle.e_sv.tolist(),
+                 [block[p] for p in bundle.e_pos.tolist()],
+                 bundle.e_w.tolist())),
+    )
 
 
 class TestVEBlockProperties:
@@ -63,9 +128,11 @@ class TestVEBlockProperties:
         )
 
     @FAST
-    @given(graph_and_layout())
-    def test_eblock_counts_match_their_fragments(self, data):
+    @given(graph_and_layout(any_partition=True),
+           st.sets(st.integers(0, 29)))
+    def test_eblock_counts_match_their_fragments(self, data, responders):
         g, partition, layout, clustering = data
+        flags = [v in responders for v in range(g.num_vertices)]
         for w in range(partition.num_workers):
             store = build(g, partition, w, layout, clustering)
             for src_block in store.local_blocks:
@@ -77,6 +144,24 @@ class TestVEBlockProperties:
                     assert nedge == sum(len(e) for _v, e in fragments)
                     if not clustering:
                         assert nfrag == nedge
+            if numpy is None:
+                continue
+            # the vectorized tier's array build agrees with the scalar one
+            arrays = build(g, partition, w, layout, clustering,
+                           as_arrays=True)
+            assert tables(arrays, flags) == tables(store, flags)
+            for dst_block in range(layout.num_blocks):
+                assert bundle_streams(
+                    arrays.bundles.get(dst_block), layout, dst_block
+                ) == fragment_streams(store, dst_block)
+            with pytest.raises(RuntimeError, match="vectorized"):
+                arrays.eblock(store.local_blocks[0], 0)
+            with pytest.raises(RuntimeError, match="vectorized"):
+                arrays.refresh_res(flags)
+            with pytest.raises(RuntimeError, match="vectorized"):
+                arrays.collect_for_request(0, flags)
+            with pytest.raises(RuntimeError, match="vectorized"):
+                next(arrays.scan_for_request(0, flags))
 
     @FAST
     @given(graph_and_layout())
