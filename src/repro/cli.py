@@ -128,8 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default="batched",
                         help="superstep executor tier (all byte-identical)")
     parser.add_argument("--parallelism", type=int, default=1, metavar="N",
-                        help="OS processes running each superstep's "
-                             "per-worker phases (default 1 = in-process)")
+                        help="OS processes running the Pull-Respond scans "
+                             "of vectorized bpull/hybrid gathers (default "
+                             "1 = in-process; other jobs fall back to 1)")
     parser.add_argument("--in-memory", action="store_true",
                         help="sufficient-memory scenario (no disk charges)")
     parser.add_argument("--trace", action="store_true",

@@ -86,9 +86,10 @@ AMAZON_CLUSTER = ClusterProfile(
 #:
 #: * ``"crash"`` — the worker raises at the superstep barrier
 #:   (HybridGraph's baseline failure model, Appendix A);
-#: * ``"kill"`` — like crash, but under ``parallelism > 1`` the engine
-#:   SIGKILLs the child process owning the worker first, so recovery is
-#:   exercised against genuine OS-level death;
+#: * ``"kill"`` — like crash, but when the job runs a process pool
+#:   (``Runtime.active_parallelism > 1``) the engine SIGKILLs the child
+#:   process owning the worker first, so recovery is exercised against
+#:   genuine OS-level death;
 #: * ``"straggler"`` — the worker's modeled seconds for that superstep
 #:   are inflated by ``factor`` (no restart; stretches the barrier);
 #: * ``"checkpoint_write"`` — the next snapshot attempt fails after
@@ -271,17 +272,15 @@ class JobConfig:
     #: produce byte-identical :class:`JobMetrics` — the equivalence
     #: tests run every job through all of them.
     executor: str = "batched"
-    #: number of OS processes executing each superstep's per-worker
-    #: halves concurrently (:mod:`repro.core.modes.parallel`).
-    #: Orthogonal to ``executor``: both the batched and vectorized tiers
-    #: can run their per-worker phases across a persistent process pool;
-    #: the coordinator folds the per-process shards in fixed worker-id
-    #: order, so metrics stay byte-identical to ``parallelism=1``.
-    #: Values above ``num_workers`` are clamped; job shapes without a
-    #: parallel path (reference executor, pull/pushm, asynchronous
-    #: iteration, platforms without ``fork``/``shared_memory``) fall
-    #: back to in-process execution with the reason recorded in
-    #: ``Runtime.executor_fallback``.
+    #: number of OS processes running the Pull-Respond triple scans of
+    #: the vectorized tier's b-pull gathers (:mod:`repro.core.modes.parallel`)
+    #: on a persistent process pool; the coordinator replays the
+    #: results in canonical order, so metrics stay byte-identical to
+    #: ``parallelism=1``.  Values above ``num_workers`` are clamped;
+    #: every other job shape (batched/reference executor, pure push,
+    #: a vectorized request that fell back, platforms without
+    #: ``fork``/``shared_memory``) runs in process with the reason
+    #: recorded in ``Runtime.executor_fallback``.
     parallelism: int = 1
     #: snapshot the iteration state every N supersteps and recover from
     #: the latest snapshot instead of recomputing from scratch — the
@@ -326,6 +325,20 @@ class JobConfig:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.num_workers <= 0:
             raise ValueError("num_workers must be positive")
+        if self.max_supersteps is not None and self.max_supersteps < 1:
+            raise ValueError(
+                f"max_supersteps must be >= 1, got {self.max_supersteps!r}"
+            )
+        if self.adjacency_block_vertices < 1:
+            raise ValueError(
+                f"adjacency_block_vertices must be >= 1, got "
+                f"{self.adjacency_block_vertices!r}"
+            )
+        if self.switching_deadband < 0:
+            raise ValueError(
+                f"switching_deadband must be >= 0, got "
+                f"{self.switching_deadband!r}"
+            )
         if self.partition not in ("range", "hash"):
             raise ValueError("partition must be 'range' or 'hash'")
         for name in ("message_buffer_per_worker", "lru_capacity_vertices"):

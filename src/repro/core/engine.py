@@ -448,8 +448,8 @@ def _iterate(
     if config.executor == "reference":
         superstep_fn = run_superstep_reference
     elif rt.active_parallelism > 1:
-        # branches on rt.active_executor internally: both the batched
-        # and vectorized tiers run their per-worker phases on the pool.
+        # the vectorized driver with b-pull gathers on the process pool;
+        # only vectorized bpull/hybrid jobs get here (see Runtime).
         superstep_fn = run_superstep_parallel
     elif rt.active_executor == "vectorized":
         # active_executor, not config.executor: the runtime may have

@@ -99,16 +99,8 @@ def run_superstep(
     in_mech: str,
     out_mech: str,
     mode_label: str,
-    pool=None,
 ) -> SuperstepMetrics:
-    """Execute one BSP superstep and return its metrics.
-
-    With the job's process *pool* (``parallelism > 1``) the pull gather's
-    triple scans and Phase 2's per-worker halves run as pool rounds
-    (:mod:`repro.core.modes.parallel`); everything else — the stored-input
-    load, the counters, routing and metric assembly — is the same code
-    either way.
-    """
+    """Execute one BSP superstep and return its metrics."""
     if in_mech not in ("stored", "pull"):
         raise ValueError(f"unknown input mechanism {in_mech!r}")
     if out_mech not in ("push", "flag"):
@@ -157,20 +149,11 @@ def run_superstep(
         for worker in rt.workers:
             if worker.adjacency is not None:
                 worker.adjacency.begin_superstep()
-    if pool is not None:
-        # imported here: parallel imports this module at load time
-        from repro.core.modes import parallel
-
     inbox: Dict[int, Dict[int, List[Any]]] = {}
     if in_mech == "pull" and superstep > 1:
-        if pool is None:
-            inbox = bpull_gather(
-                rt, metrics, msgs_gen_of, edges_of, pull_memory_of
-            )
-        else:
-            inbox = parallel._parallel_gather_batched(
-                rt, pool, metrics, msgs_gen_of, edges_of, pull_memory_of
-            )
+        inbox = bpull_gather(
+            rt, metrics, msgs_gen_of, edges_of, pull_memory_of
+        )
     elif in_mech == "stored" and not async_mode:
         for worker in rt.workers:
             if worker.message_store is None:
@@ -190,31 +173,24 @@ def run_superstep(
     # uniform programs stage (dsts, payload) fan-out groups instead of
     # one (dst, payload) pair per edge; see Runtime.push_fanout.
     uniform = program.uniform_messages
-    if pool is None:
-        staged = _staged_flows(rt)
-        fanout = rt.push_fanout if (uniform and pushing) else None
-        counts: List[Tuple[int, int, int, int, int]] = []
-        for worker in rt.workers:
-            wid = worker.worker_id
-            if async_mode:
-                result = worker.message_store.load()
-                inbox[wid] = result.messages
-                metrics.io_message_read += result.spilled_read
-                spill_read_of[wid] = result.spilled_count
-            targets, *rest = phase2_for_worker(
-                rt, worker, superstep, inbox.get(wid) or {}, pushing,
-                fanout, staged[wid], aggregates=metrics.aggregates,
-            )
-            counts.append((len(targets), *rest))
-            if async_mode:
-                _route_flows(rt, wid, staged[wid], metrics, uniform)
-    else:
-        staged, counts = parallel._phase2_round_batched(
-            rt, pool, metrics, inbox, pushing
-        )
+    staged = _staged_flows(rt)
+    fanout = rt.push_fanout if (uniform and pushing) else None
     vertex_record = sizes.vertex_record
-    for wid, (num_targets, n_respond, raw_staged, edges_scanned,
-              edge_bytes) in enumerate(counts):
+    for worker in rt.workers:
+        wid = worker.worker_id
+        if async_mode:
+            result = worker.message_store.load()
+            inbox[wid] = result.messages
+            metrics.io_message_read += result.spilled_read
+            spill_read_of[wid] = result.spilled_count
+        num_targets, n_respond, raw_staged, edges_scanned, edge_bytes = (
+            phase2_for_worker(
+                rt, worker, superstep, inbox.get(wid) or {}, pushing,
+                fanout, staged[wid], metrics.aggregates,
+            )
+        )
+        if async_mode:
+            _route_flows(rt, wid, staged[wid], metrics, uniform)
         rt.resp_next.add_to_count(n_respond)
         updates_of[wid] = num_targets
         msgs_gen_of[wid] += raw_staged
@@ -250,23 +226,16 @@ def phase2_for_worker(
     pushing: bool,
     fanout,
     flows: List[List[Any]],
-    aggregates: Dict[str, float] = None,
-    agg_stream: List[Tuple[str, float]] = None,
+    aggregates: Dict[str, float],
 ):
     """Run ``update()`` (+``pushRes()`` staging) for one worker's targets.
 
-    This is the per-worker half of Phase 2, shared verbatim between the
-    sequential executor loop and the process-pool shards of
-    :mod:`repro.core.modes.parallel`.  It mutates only worker-owned
-    state — ``rt.values`` of owned vertices, the ``rt.resp_next``
-    *bytes* (the count is the caller's), the worker's disk/adjacency,
-    and the staged *flows* buckets.  Cross-worker folds stay with the
-    caller: aggregator contributions either fold inline into
-    *aggregates* (sequential) or append to *agg_stream* in emission
-    order so the coordinator can replay the identical left fold
-    (parallel shards).
+    The per-worker half of Phase 2: it updates ``rt.values`` of owned
+    vertices, the ``rt.resp_next`` *bytes* (the count is the caller's),
+    the worker's disk/adjacency, the staged *flows* buckets, and folds
+    aggregator contributions into *aggregates*.
 
-    Returns ``(targets, n_respond, raw_staged, edges_scanned,
+    Returns ``(num_targets, n_respond, raw_staged, edges_scanned,
     edge_bytes)``.
     """
     program = rt.program
@@ -316,13 +285,8 @@ def phase2_for_worker(
             n_respond += 1
         contribution = aggregate(vid, old_value, new_value, ctx)
         if contribution:
-            if agg_stream is None:
-                for agg_key, agg_val in contribution.items():
-                    aggregates[agg_key] = (
-                        aggregates.get(agg_key, 0.0) + agg_val
-                    )
-            else:
-                agg_stream.extend(contribution.items())
+            for agg_key, agg_val in contribution.items():
+                aggregates[agg_key] = aggregates.get(agg_key, 0.0) + agg_val
         if pushing and respond:
             if read_out_edges is None:
                 raise RuntimeError(
@@ -357,7 +321,7 @@ def phase2_for_worker(
         worker.disk.charge(
             seq_read=record_bytes, seq_write=record_bytes
         )
-    return targets, n_respond, raw_staged, edges_scanned, edge_bytes
+    return len(targets), n_respond, raw_staged, edges_scanned, edge_bytes
 
 
 def finalize_superstep_metrics(
@@ -673,7 +637,7 @@ def inbox_sink(
 def batched_responder(rt: Runtime, flags):
     """The batched tier's ``respond`` callback over *flags*: runs
     :func:`collect_triple` with one uniform-payload memo for the whole
-    gather (or the whole pool shard)."""
+    gather."""
     program = rt.program
     combine = program.combine if _bpull_combines(rt) else None
     payload_of: Dict[int, Any] = {}
@@ -706,15 +670,12 @@ def collect_triple(
 ):
     """Pull-Respond for one (requested Vblock, responder) pair.
 
-    The per-triple half of :func:`bpull_gather`, shared verbatim with
-    the process-pool shards of :mod:`repro.core.modes.parallel`: scans
-    the responder's matching Eblocks (charging its disk), builds the
-    per-destination send buffer, and sizes the transfer.  *combine* is
-    the program's combiner or None for concatenation-only programs;
-    *payload_of* memoizes uniform payloads per source vertex across the
-    whole gather (each source belongs to exactly one responder, so
-    per-responder shards see the same memo hits the sequential loop
-    does).
+    The per-triple half of :func:`bpull_gather`: scans the responder's
+    matching Eblocks (charging its disk), builds the per-destination
+    send buffer, and sizes the transfer.  *combine* is the program's
+    combiner or None for concatenation-only programs; *payload_of*
+    memoizes uniform payloads per source vertex across the whole
+    gather.
 
     Returns None when the responder contributes nothing, else
     ``(nvalues, ngroups, nbytes, units, items)`` where *items* lists

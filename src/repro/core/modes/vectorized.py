@@ -58,7 +58,6 @@ __all__ = [
     "run_superstep_vectorized",
     "VectorizedMessageStore",
     "compute_worker_update",
-    "apply_update_shard",
     "triple_contribution",
     "dense_responder",
     "fold_stream",
@@ -265,7 +264,7 @@ class _VecState:
             )
             self.acc_dtype = dtype
         self.owner = np.asarray(rt.owner_of, dtype=np.int64)
-        self.bv = max(1, cfg.adjacency_block_vertices)
+        self.bv = cfg.adjacency_block_vertices
         mask = self.rules.initially_active_mask(rt.ctx, np)
         if mask is None:
             if (
@@ -346,32 +345,31 @@ def _fold(dsts, payloads, size, combine, identity, dtype):
 
 
 # ----------------------------------------------------------------------
-# per-worker halves (shared with the parallel runtime)
+# per-worker Phase 2
 # ----------------------------------------------------------------------
 def compute_worker_update(
     rt,
     state: "_VecState",
     worker,
     superstep: int,
-    received_local,
-    acc_local,
+    received,
+    acc_global,
     pushing: bool,
-    resp_view,
-) -> Dict[str, Any]:
+    metrics: SuperstepMetrics,
+    updates_of: Dict[int, int],
+    msgs_gen_of: Dict[int, int],
+    edges_of: Dict[int, int],
+) -> Optional[List[Any]]:
     """Phase 2 for one worker: dense update + push staging.
 
-    Touches only *worker*-owned state — its slice of ``state.values``,
-    its disk, its vertices' bytes of *resp_view* — which is what lets
-    :mod:`repro.core.modes.parallel` run one call per process.  The
-    inputs ``received_local``/``acc_local`` are the worker's slices of
-    the global fold (``received[local]``/``acc_global[local]``; gathers
-    of a gather are bitwise identical to gathering ``targets``
-    directly).  The returned shard carries everything the caller must
-    fold into shared metrics (:func:`apply_update_shard`) plus the
-    staged per-destination message arrays.  Aggregator contributions
-    are shipped as per-vertex streams, never child-local partial sums:
-    the caller replays the sequential carry fold so the float grouping
-    matches the scalar executors.
+    *received*/*acc_global* are the superstep's global fold (None when
+    nothing arrived); the worker reads its own slices (gathers of a
+    gather are bitwise identical to gathering ``targets`` directly).
+    Counts fold straight into *metrics* and the per-worker dicts; the
+    driver calls this in worker-id order, so the aggregator carry fold
+    matches the scalar executors' float grouping.  Returns the staged
+    per-destination-worker ``(dsts, payloads)`` arrays, or None when
+    nothing was staged.
     """
     program = rt.program
     rules = state.rules
@@ -381,17 +379,7 @@ def compute_worker_update(
     wid = worker.worker_id
     wvec = state.workers[wid]
     local = wvec.local
-    num_workers = len(rt.workers)
-    shard: Dict[str, Any] = {
-        "num_targets": 0,
-        "n_respond": 0,
-        "contrib": None,
-        "record_bytes": 0,
-        "raw_staged": 0,
-        "edges_scanned": 0,
-        "edge_bytes": 0,
-        "staged": [None] * num_workers,
-    }
+    received_local = received[local] if received is not None else None
     if superstep == 1:
         mask = state.initial_mask[local]
         if received_local is not None:
@@ -403,16 +391,17 @@ def compute_worker_update(
         targets = local
     else:
         if received_local is None:
-            return shard
+            return None
         tpos = np.flatnonzero(received_local)
         targets = local[tpos]
     num_targets = len(targets)
-    shard["num_targets"] = num_targets
+    updates_of[wid] = num_targets
     if num_targets == 0:
-        return shard
+        return None
 
     old_values = values[targets]
-    if acc_local is not None:
+    if acc_global is not None:
+        acc_local = acc_global[local]
         if tpos is None:
             acc = acc_local
             has_message = received_local
@@ -434,10 +423,16 @@ def compute_worker_update(
         ctx, targets, old_values, new_values, np
     )
     if contrib:
-        shard["contrib"] = {
-            agg_key: np.asarray(agg_vals, dtype=np.float64)
-            for agg_key, agg_vals in contrib.items()
-        }
+        aggregates = metrics.aggregates
+        for agg_key, agg_vals in contrib.items():
+            # Carry the running total through the same sequential left
+            # fold the scalar loop performs — folding the contributions
+            # first and adding once would change the float grouping.
+            arr = np.asarray(agg_vals, dtype=np.float64)
+            carry = np.zeros(1, dtype=np.float64)
+            carry[0] = aggregates.get(agg_key, 0.0)
+            np.add.at(carry, np.zeros(len(arr), dtype=np.intp), arr)
+            aggregates[agg_key] = float(carry[0])
 
     if isinstance(respond, np.ndarray):
         rmask = respond.astype(bool, copy=False)
@@ -456,28 +451,29 @@ def compute_worker_update(
         resp_targets = targets[:0]
         resp_pos = np.zeros(0, dtype=np.int64)
     num_respond = len(resp_targets)
-    shard["n_respond"] = num_respond
     if num_respond:
         # 0 -> 1 flips only (each vertex is targeted once), reported
         # through add_to_count — the FlagBitset hot-path discipline.
-        resp_view[resp_targets] = 1
+        rt.resp_next.numpy_view(np)[resp_targets] = 1
         rt.resp_next.add_to_count(num_respond)
 
     # IO(V_t): one aggregated read+write charge per worker.
     record_bytes = num_targets * sizes.vertex_record
-    shard["record_bytes"] = record_bytes
+    metrics.io_vertex += 2 * record_bytes
     worker.disk.charge(
         seq_read=record_bytes, seq_write=record_bytes
     )
 
     if not (pushing and num_respond):
-        return shard
+        return None
 
     # IO(E_t): whole adjacency blocks touched by responding vertices.
     blocks = np.unique(resp_pos // state.bv)
     edge_bytes = int(wvec.block_bytes[blocks].sum())
-    shard["edges_scanned"] = int(wvec.block_edges[blocks].sum())
-    shard["edge_bytes"] = edge_bytes
+    edges_scanned = int(wvec.block_edges[blocks].sum())
+    edges_of[wid] += edges_scanned
+    metrics.edges_scanned += edges_scanned
+    metrics.io_edges_push += edge_bytes
     worker.disk.charge(seq_read=edge_bytes)
 
     if program.uniform_messages:
@@ -489,7 +485,7 @@ def compute_worker_update(
             stage_mask = stage_mask & valid
         rows = resp_pos[stage_mask]
         if len(rows) == 0:
-            return shard
+            return None
         counts = wvec.deg[rows]
         flat = _row_gather(wvec.indptr, rows, counts)
         dsts = wvec.e_dst[flat]
@@ -511,52 +507,15 @@ def compute_worker_update(
             edge_payloads = edge_payloads[valid]
         raw_staged = len(dsts)
         if raw_staged == 0:
-            return shard
-    shard["raw_staged"] = raw_staged
-    per_src = shard["staged"]
-    for dst_wid in range(num_workers):
-        flow = owners == dst_wid
-        if flow.any():
-            per_src[dst_wid] = (dsts[flow], edge_payloads[flow])
-    return shard
-
-
-def apply_update_shard(
-    metrics: SuperstepMetrics,
-    wid: int,
-    shard: Dict[str, Any],
-    updates_of: Dict[int, int],
-    msgs_gen_of: Dict[int, int],
-    edges_of: Dict[int, int],
-) -> None:
-    """Fold one worker's update shard into shared metrics.
-
-    Every field here is either an order-independent integer sum or the
-    aggregator carry fold, which the driver invokes in worker-id order
-    whether the shards were computed in process or on the pool.
-    """
-    updates_of[wid] = shard["num_targets"]
-    contrib = shard["contrib"]
-    if contrib:
-        aggregates = metrics.aggregates
-        for agg_key, arr in contrib.items():
-            # Carry the running total through the same sequential
-            # left fold the scalar loop performs — folding the
-            # contributions first and adding once would change the
-            # float grouping.
-            carry = np.zeros(1, dtype=np.float64)
-            carry[0] = aggregates.get(agg_key, 0.0)
-            np.add.at(
-                carry, np.zeros(len(arr), dtype=np.intp), arr
-            )
-            aggregates[agg_key] = float(carry[0])
-    metrics.io_vertex += 2 * shard["record_bytes"]
-    raw_staged = shard["raw_staged"]
+            return None
     msgs_gen_of[wid] += raw_staged
     metrics.raw_messages += raw_staged
-    edges_of[wid] += shard["edges_scanned"]
-    metrics.edges_scanned += shard["edges_scanned"]
-    metrics.io_edges_push += shard["edge_bytes"]
+    staged: List[Any] = [None] * len(rt.workers)
+    for dst_wid in range(len(rt.workers)):
+        flow = owners == dst_wid
+        if flow.any():
+            staged[dst_wid] = (dsts[flow], edge_payloads[flow])
+    return staged
 
 
 def triple_contribution(
@@ -733,14 +692,12 @@ def run_superstep_vectorized(
     in_mech: str,
     out_mech: str,
     mode_label: str,
-    pool=None,
 ) -> SuperstepMetrics:
     """Execute one BSP superstep with dense kernels.
 
-    With the job's process *pool* the gather's triple scans and the
-    per-worker dense updates run as pool rounds
-    (:mod:`repro.core.modes.parallel`); the stored-input load, the shard
-    fold, routing and metric assembly are the same code either way.
+    When the job's process pool is running, the gather's triple scans
+    run on it (:mod:`repro.core.modes.parallel`); everything else is the
+    same code either way.
     """
     if in_mech not in ("stored", "pull"):
         raise ValueError(f"unknown input mechanism {in_mech!r}")
@@ -750,9 +707,6 @@ def run_superstep_vectorized(
     if state is None:
         state = _VecState(rt)
         rt.scratch["vectorized"] = state
-    if pool is not None:
-        # imported here: parallel imports this module at load time
-        from repro.core.modes import parallel
 
     cfg = rt.config
     sizes = cfg.sizes
@@ -782,13 +736,15 @@ def run_superstep_vectorized(
     received = None
     acc_global = None
     if in_mech == "pull":
-        if superstep > 1 and pool is None:
-            received, acc_global = _bpull_gather_vectorized(
+        if superstep > 1:
+            gather = _bpull_gather_vectorized
+            if rt._pool is not None:
+                # imported here: parallel imports this module at load time
+                from repro.core.modes import parallel
+
+                gather = parallel._parallel_gather_vectorized
+            received, acc_global = gather(
                 rt, state, metrics, msgs_gen_of, edges_of, pull_memory_of
-            )
-        elif superstep > 1:
-            received, acc_global = parallel._parallel_gather_vectorized(
-                rt, pool, metrics, msgs_gen_of, edges_of, pull_memory_of
             )
     else:
         received, acc_global = load_stored_dense(
@@ -798,44 +754,30 @@ def run_superstep_vectorized(
     # ------------------------------------------------------------------
     # Phase 2: dense update; stage outgoing arrays if pushing.
     # ------------------------------------------------------------------
-    if pool is None:
-        resp_view = rt.resp_next.numpy_view(np)
-        shards = []
-        for worker in rt.workers:
-            local = state.workers[worker.worker_id].local
-            shards.append(compute_worker_update(
-                rt, state, worker, superstep,
-                received[local] if received is not None else None,
-                acc_global[local] if acc_global is not None else None,
-                pushing, resp_view,
-            ))
-    else:
-        shards = parallel._phase2_round_vectorized(
-            rt, pool, received, acc_global, pushing
+    staged_of = [
+        compute_worker_update(
+            rt, state, worker, superstep, received, acc_global, pushing,
+            metrics, updates_of, msgs_gen_of, edges_of,
         )
-    for wid, shard in enumerate(shards):
-        apply_update_shard(
-            metrics, wid, shard, updates_of, msgs_gen_of, edges_of
-        )
+        for worker in rt.workers
+    ]
 
     # ------------------------------------------------------------------
     # Phase 3: route staged arrays (same flow order as batched).
     # ------------------------------------------------------------------
-    if pushing:
-        transfer = rt.network.transfer
-        for src_wid, shard in enumerate(shards):
-            for dst_wid, pair in enumerate(shard["staged"]):
-                if pair is None:
-                    continue
-                dsts, payloads = pair
-                count = len(dsts)
-                transfer(
-                    src_wid, dst_wid, sizes.messages(count),
-                    units=count,
-                )
-                rt.workers[dst_wid].message_store.deposit_arrays(
-                    dsts, payloads
-                )
+    transfer = rt.network.transfer
+    for src_wid, staged in enumerate(staged_of):
+        for dst_wid, pair in enumerate(staged or ()):
+            if pair is None:
+                continue
+            dsts, payloads = pair
+            count = len(dsts)
+            transfer(
+                src_wid, dst_wid, sizes.messages(count), units=count,
+            )
+            rt.workers[dst_wid].message_store.deposit_arrays(
+                dsts, payloads
+            )
 
     # ------------------------------------------------------------------
     # Metrics assembly (shared with the batched executor).

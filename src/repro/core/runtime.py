@@ -172,11 +172,12 @@ class Runtime:
             if reason is not None:
                 self.active_executor = "batched"
                 self.executor_fallback = reason
-        #: processes actually driving supersteps.  ``parallelism > 1``
-        #: downgrades to 1 (in-process) for job shapes without a
-        #: parallel path; like the executor downgrade, the reason lands
-        #: in ``executor_fallback``.  Values above ``num_workers`` are
-        #: clamped silently (extra processes would idle).
+        #: processes actually running the b-pull gather's scans.
+        #: ``parallelism > 1`` downgrades to 1 (in-process) for job
+        #: shapes without a parallel path; like the executor downgrade,
+        #: the reason lands in ``executor_fallback``.  Values above
+        #: ``num_workers`` are clamped silently (extra processes would
+        #: idle).
         self.active_parallelism: int = 1
         self._pool: Any = None
         if config.parallelism > 1:

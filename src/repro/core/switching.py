@@ -125,7 +125,7 @@ class HybridController:
                  deadband: float = 0.0):
         self._enabled = enabled
         self._interval = max(1, interval)
-        self._deadband = max(0.0, deadband)
+        self._deadband = deadband
         cfg = rt.config
         init = initial_mode(
             cfg.total_message_buffer,

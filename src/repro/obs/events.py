@@ -32,12 +32,12 @@ name                  kind     cat         meaning
                                            Eq. 11 inputs and the planned
                                            mode
 ``mode_switch``       instant  engine      a switch superstep (Fig. 6) ran
-``process_busy``      span     parallel    one pool process computing its
-                                           shard of a round (wall clock)
+``process_busy``      span     parallel    one pool process scanning its
+                                           shard of a gather (wall clock)
 ``process_barrier``   span     parallel    that process waiting for the
                                            round's slowest sibling
-``merge``             span     parallel    the coordinator folding the
-                                           round's shards (wall clock)
+``merge``             span     parallel    the coordinator replaying the
+                                           gather's results (wall clock)
 ====================  =======  ==========  =================================
 """
 

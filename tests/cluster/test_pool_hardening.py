@@ -5,9 +5,10 @@ by the liveness/timeout checks in ``_ParallelPool._attempt_round``; the
 pool re-forks once and replays the round, and only a second consecutive
 failure escalates to :class:`WorkerFailure` (the engine's recovery
 policy).  Either way the job must end with no orphan processes and no
-leaked ``/dev/shm`` segments, and — because replayed rounds are pure
-for the batched tier and snapshot-restored for the vectorized tier —
-with metrics byte-identical to the sequential run.
+leaked ``/dev/shm`` segments, and — because every round is a pure read
+of coordinator state — with metrics byte-identical to the sequential
+run.  The pool runs vectorized b-pull gathers only, so every case here
+is a vectorized ``bpull`` or ``hybrid`` job.
 """
 
 import json
@@ -21,12 +22,19 @@ from repro.algorithms.pagerank import PageRank
 from repro.core.config import FaultPlan, JobConfig
 from repro.core.engine import run_job
 from repro.core.modes import parallel as parallel_mod
+from repro.core.modes import vectorized
 from repro.datasets.generators import random_graph
 
-pytestmark = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="pool hardening requires the fork start method",
-)
+pytestmark = [
+    pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="pool hardening requires the fork start method",
+    ),
+    pytest.mark.skipif(
+        vectorized.np is None,
+        reason="the pool runs vectorized gathers, which need NumPy",
+    ),
+]
 
 
 def _graph():
@@ -60,7 +68,7 @@ def harmed_pool(monkeypatch):
     state = {"armed": None, "pool": None}
     original = parallel_mod._ParallelPool._attempt_round
 
-    def patched(self, label, messages):
+    def patched(self, messages):
         state["pool"] = self
         harm = state["armed"]
         if harm is not None:
@@ -72,20 +80,20 @@ def harmed_pool(monkeypatch):
 
     monkeypatch.setattr(
         parallel_mod._ParallelPool, "_attempt_round",
-        lambda self, label, messages: (
-            patched(self, label, messages),
-            original(self, label, messages),
+        lambda self, messages: (
+            patched(self, messages),
+            original(self, messages),
         )[1],
     )
     return state
 
 
 class TestReforkRetry:
-    @pytest.mark.parametrize("executor", ["batched", "vectorized"])
+    @pytest.mark.parametrize("mode", ["bpull", "hybrid"])
     def test_unplanned_sigkill_is_retried_transparently(
-        self, harmed_pool, executor
+        self, harmed_pool, mode
     ):
-        cfg = JobConfig(mode="push", num_workers=4, executor=executor,
+        cfg = JobConfig(mode=mode, num_workers=4, executor="vectorized",
                         message_buffer_per_worker=100, max_supersteps=5)
         expected = _dump(run_job(_graph(), PageRank(), cfg))
         harmed_pool["armed"] = signal.SIGKILL
@@ -99,7 +107,7 @@ class TestReforkRetry:
         assert _shm_segments() <= before
 
     def test_hung_child_times_out_and_is_retried(self, harmed_pool):
-        cfg = JobConfig(mode="push", num_workers=4,
+        cfg = JobConfig(mode="bpull", num_workers=4, executor="vectorized",
                         message_buffer_per_worker=100, max_supersteps=4,
                         pool_round_timeout_seconds=1.0)
         expected = _dump(run_job(_graph(), PageRank(), cfg))
@@ -112,9 +120,9 @@ class TestReforkRetry:
 
 
 class TestPlannedKill:
-    @pytest.mark.parametrize("executor", ["batched", "vectorized"])
-    def test_kill_fault_recovery_matches_sequential(self, executor):
-        cfg = JobConfig(mode="hybrid", num_workers=4, executor=executor,
+    @pytest.mark.parametrize("mode", ["bpull", "hybrid"])
+    def test_kill_fault_recovery_matches_sequential(self, mode):
+        cfg = JobConfig(mode=mode, num_workers=4, executor="vectorized",
                         message_buffer_per_worker=100, max_supersteps=6,
                         fault=FaultPlan(worker=1, superstep=3,
                                         kind="kill"),
@@ -131,7 +139,7 @@ class TestPlannedKill:
     def test_kill_scratch_recovery_matches_sequential(self):
         # no checkpoints: the SIGKILL forces recompute-from-scratch
         # with a freshly forked pool.
-        cfg = JobConfig(mode="push", num_workers=4,
+        cfg = JobConfig(mode="bpull", num_workers=4, executor="vectorized",
                         message_buffer_per_worker=100, max_supersteps=5,
                         fault=FaultPlan(worker=2, superstep=3,
                                         kind="kill"))
@@ -145,7 +153,8 @@ class TestPlannedKill:
     def test_kill_on_first_parallel_superstep_forks_then_kills(self):
         # the fault fires before any round ran: kill_pool_worker must
         # fork the pool just to kill the child, and recovery proceeds.
-        cfg = JobConfig(mode="push", num_workers=4, parallelism=2,
+        cfg = JobConfig(mode="bpull", num_workers=4, parallelism=2,
+                        executor="vectorized",
                         message_buffer_per_worker=100, max_supersteps=4,
                         fault=FaultPlan(worker=0, superstep=1,
                                         kind="kill"))
@@ -158,7 +167,7 @@ class TestNoLeaks:
     def test_vectorized_fault_run_leaves_no_shm(self):
         before = _shm_segments()
         run_job(_graph(), PageRank(), JobConfig(
-            mode="push", num_workers=4, parallelism=4,
+            mode="bpull", num_workers=4, parallelism=4,
             executor="vectorized", message_buffer_per_worker=100,
             max_supersteps=6, checkpoint_interval=2,
             fault=FaultPlan(worker=1, superstep=3, kind="kill",
@@ -171,7 +180,7 @@ class TestNoLeaks:
         before = _shm_segments()
         with pytest.raises(Exception):
             run_job(_graph(), PageRank(), JobConfig(
-                mode="push", num_workers=4, parallelism=2,
+                mode="bpull", num_workers=4, parallelism=2,
                 executor="vectorized",
                 message_buffer_per_worker=100, max_supersteps=5,
                 max_restarts=1,

@@ -101,8 +101,9 @@ class TestCrashOnSwitch:
             fault=FaultPlan(worker=1, superstep=superstep),
             checkpoint_interval=interval,
         ))
+        # the pool runs only vectorized gathers
         parallel = run_job(_graph(), SSSP(source=0), JobConfig(
-            **self.CFG, parallelism=2,
+            **self.CFG, executor="vectorized", parallelism=2,
             fault=FaultPlan(worker=1, superstep=superstep),
             checkpoint_interval=interval,
         ))

@@ -49,6 +49,17 @@ class TestJobConfig:
             with pytest.raises(ValueError, match="vblocks_per_worker"):
                 JobConfig(vblocks_per_worker=vblocks)
         assert JobConfig(vblocks_per_worker=1).vblocks_per_worker == 1
+        for field, bad in (
+            ("max_supersteps", 0), ("max_supersteps", -1),
+            ("adjacency_block_vertices", 0),
+            ("adjacency_block_vertices", -5),
+            ("switching_deadband", -0.1),
+        ):
+            with pytest.raises(ValueError, match=field):
+                JobConfig(**{field: bad})
+        assert JobConfig(max_supersteps=1).max_supersteps == 1
+        assert JobConfig(adjacency_block_vertices=1).adjacency_block_vertices == 1
+        assert JobConfig(switching_deadband=0.0).switching_deadband == 0.0
 
     def test_memory_sufficient(self):
         assert JobConfig(

@@ -1,16 +1,18 @@
 """Parallel-runtime guard: ``parallelism=N`` must not change one byte.
 
-The process-pool runtime (:mod:`repro.core.modes.parallel`) executes
-each superstep's per-worker halves across N OS processes; the
-coordinator folds the shards in fixed worker-id order, which is supposed
-to make ``JobMetrics.to_dict()`` byte-identical to the in-process
-executors.  These tests run the same jobs at parallelism 1, 2, and 4 —
-through both the batched and vectorized tiers, across push/b-pull/
-hybrid (including switch supersteps) and the recovery paths — and
-compare the full dumps.
+The process-pool runtime (:mod:`repro.core.modes.parallel`) runs the
+Pull-Respond triple scans of the vectorized tier's b-pull gathers
+across N OS processes; the coordinator replays their results in
+canonical triple order, which is supposed to make
+``JobMetrics.to_dict()`` byte-identical to the in-process run.  These
+tests run the same jobs at parallelism 1, 2, and 4 — through both the
+batched and vectorized tiers, across push/b-pull/hybrid (including
+switch supersteps) and the recovery paths — and compare the full dumps.
+Shapes without a parallel path (the batched tier, pure push, vectorized
+fallbacks) must record the fallback and run identically in process.
 
-The pool needs ``fork`` + ``multiprocessing.shared_memory``; on
-platforms without them the runtime falls back to in-process execution
+The pool needs NumPy, ``fork`` and ``multiprocessing.shared_memory``;
+without them every request falls back to in-process execution
 (trivially identical), so the cells stay valid everywhere.
 """
 
@@ -25,10 +27,17 @@ from repro.algorithms.sssp import SSSP
 from repro.algorithms.wcc import WCC
 from repro.core.config import FaultPlan, JobConfig
 from repro.core.engine import run_job
+from repro.core.modes import vectorized
 from repro.core.runtime import Runtime
 from repro.datasets.generators import random_graph
 
 PARALLELISMS = (1, 2, 4)
+
+#: whether vectorized b-pull/hybrid jobs can run a live pool here.
+HAS_POOL = (
+    vectorized.np is not None
+    and "fork" in multiprocessing.get_all_start_methods()
+)
 
 
 def _graph():
@@ -57,6 +66,12 @@ def assert_sweep_identical(results):
     for other in results[1:]:
         assert _dump(other) == expected
         assert other.values == reference.values
+        rt = other.runtime
+        if rt.active_parallelism > 1:
+            assert rt.active_executor == "vectorized"
+            assert rt.config.mode in ("bpull", "hybrid")
+        else:
+            assert other.metrics.fallback["active_parallelism"] == 1
     # the engine's try/finally must have reaped every pool process.
     assert multiprocessing.active_children() == []
 
@@ -99,11 +114,11 @@ class TestParallelEquivalence:
     def test_parallelism_clamped_to_num_workers(self):
         g = _graph()
         cfg = JobConfig(
-            mode="push", num_workers=3, parallelism=8,
-            max_supersteps=3, message_buffer_per_worker=100,
+            mode="bpull", executor="vectorized", num_workers=3,
+            parallelism=8, max_supersteps=3, message_buffer_per_worker=100,
         )
         result = run_job(g, PageRank(), cfg)
-        assert result.runtime.active_parallelism == 3
+        assert result.runtime.active_parallelism == (3 if HAS_POOL else 1)
         expected = _dump(run_job(g, PageRank(), cfg.but(parallelism=1)))
         assert _dump(result) == expected
 
@@ -134,8 +149,8 @@ class TestRecoveryWithPool:
         # the failure fires while pool processes hold pre-failure state;
         # the engine must reap them before the rewind and the job end.
         result = run_job(_graph(), PageRank(), JobConfig(
-            mode="push", num_workers=4, parallelism=4,
-            message_buffer_per_worker=100, max_supersteps=5,
+            mode="bpull", executor="vectorized", num_workers=4,
+            parallelism=4, message_buffer_per_worker=100, max_supersteps=5,
             fault=FaultPlan(worker=0, superstep=3),
             checkpoint_interval=2,
         ))
@@ -171,24 +186,44 @@ class TestFallbackSurface:
         return run_job(_graph(), PageRank(), cfg).metrics
 
     def test_absent_without_downgrade(self):
-        metrics = self._metrics(mode="push", parallelism=2)
+        metrics = self._metrics(
+            mode="bpull", executor="vectorized", parallelism=2
+        )
+        if not HAS_POOL:
+            assert metrics.fallback["active_parallelism"] == 1
+            return
         assert metrics.fallback is None
         assert "fallback" not in metrics.to_dict()
 
     def test_reference_executor_has_no_parallel_path(self):
-        metrics = self._metrics(
-            mode="push", executor="reference", parallelism=2
-        )
-        fb = metrics.fallback
-        assert fb is not None
-        assert fb["requested_parallelism"] == 2
-        assert fb["active_parallelism"] == 1
-        assert "batched or vectorized" in fb["reason"]
+        # neither scalar tier runs the pool, in any mode
+        for executor in ("reference", "batched"):
+            metrics = self._metrics(
+                mode="bpull", executor=executor, parallelism=2
+            )
+            fb = metrics.fallback
+            assert fb is not None
+            assert fb["requested_parallelism"] == 2
+            assert fb["active_parallelism"] == 1
+            assert fb["active_executor"] == executor
+            assert "requires the vectorized executor" in fb["reason"]
 
     def test_pull_mode_has_no_parallel_path(self):
-        metrics = self._metrics(mode="pull", parallelism=2)
+        # pure push has no gather to split
+        metrics = self._metrics(
+            mode="push", executor="vectorized", parallelism=2
+        )
         assert metrics.fallback["active_parallelism"] == 1
-        assert "no parallel path" in metrics.fallback["reason"]
+        if vectorized.np is not None:
+            assert "requires b-pull gathers" in metrics.fallback["reason"]
+        # pull has no vectorized path, so it loses the pool with it
+        metrics = self._metrics(
+            mode="pull", executor="vectorized", parallelism=2
+        )
+        fb = metrics.fallback
+        assert fb["active_executor"] == "batched"
+        assert fb["active_parallelism"] == 1
+        assert "requires the vectorized executor" in fb["reason"]
 
     def test_round_trips_through_json(self):
         metrics = self._metrics(
@@ -199,16 +234,16 @@ class TestFallbackSurface:
         assert payload["fallback"]["requested_executor"] == "reference"
 
     def test_combines_executor_and_parallelism_reasons(self):
-        # LPA has no dense rules -> vectorized downgrades to batched;
-        # batched still has a parallel path, so only the executor
-        # reason appears and parallelism stays active.
+        # LPA has no dense rules -> vectorized downgrades to batched,
+        # which has no parallel path: both reasons appear.
         metrics = run_job(_graph(), LPA(supersteps=3), JobConfig(
-            mode="push", num_workers=4, executor="vectorized",
+            mode="bpull", num_workers=4, executor="vectorized",
             parallelism=2, message_buffer_per_worker=100,
         )).metrics
         fb = metrics.fallback
         assert fb["active_executor"] == "batched"
-        assert fb["active_parallelism"] == 2
+        assert fb["active_parallelism"] == 1
+        assert "; parallelism requires the vectorized" in fb["reason"]
 
 
 class TestFallbackReasons:
@@ -221,23 +256,27 @@ class TestFallbackReasons:
     def test_async_push_falls_back(self):
         rt = self._runtime(
             mode="push", asynchronous=True, parallelism=2,
-            message_buffer_per_worker=100,
+            executor="vectorized", message_buffer_per_worker=100,
         )
         assert rt.active_parallelism == 1
-        assert "sequential" in rt.executor_fallback
+        assert rt.active_executor == "batched"
+        assert "requires the vectorized executor" in rt.executor_fallback
 
     def test_bpull_parallel_is_active(self):
-        rt = self._runtime(mode="bpull", parallelism=2)
+        rt = self._runtime(mode="bpull", executor="vectorized", parallelism=2)
+        if not HAS_POOL:
+            assert rt.active_parallelism == 1
+            assert rt.executor_fallback is not None
+            return
         assert rt.active_parallelism == 2
         assert rt.executor_fallback is None
-        for executor in ("batched", "vectorized"):
-            self._assert_pool_spans(executor)
+        self._assert_pool_spans()
 
-    def _assert_pool_spans(self, executor):
+    def _assert_pool_spans(self):
         """The real-concurrency spans each pool round leaves in the trace."""
         cfg = JobConfig(
-            executor=executor, parallelism=2, mode="bpull", num_workers=4,
-            message_buffer_per_worker=100,
+            executor="vectorized", parallelism=2, mode="bpull",
+            num_workers=4, message_buffer_per_worker=100,
         )
         plain = run_job(_graph(), PageRank(supersteps=3), cfg)
         traced = run_job(_graph(), PageRank(supersteps=3),
@@ -253,11 +292,9 @@ class TestFallbackReasons:
             rounds.setdefault(key, []).append(event.name)
         supersteps = [s.superstep for s in traced.metrics.supersteps]
         assert supersteps == [1, 2, 3]
-        # a Phase-2 round every superstep, a gather round from the second
-        expected = {(step, "phase2") for step in supersteps}
-        expected |= {(step, "gather") for step in supersteps if step >= 2}
-        assert set(rounds) == expected
-        assert len(rounds) == 5
+        # only the gather runs on the pool: one round from the second
+        # superstep on, none in superstep 1 (nothing to pull yet)
+        assert set(rounds) == {(2, "gather"), (3, "gather")}
         for names in rounds.values():
             assert sorted(names) == sorted(
                 ["process_busy", "process_barrier"] * 2 + ["merge"]
@@ -267,4 +304,4 @@ class TestFallbackReasons:
             processes = [
                 e.args["process"] for e in spans if e.name == name
             ]
-            assert sorted(processes) == [0] * 5 + [1] * 5
+            assert sorted(processes) == [0] * 2 + [1] * 2
