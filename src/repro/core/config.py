@@ -272,7 +272,7 @@ class JobConfig:
     #: produce byte-identical :class:`JobMetrics` — the equivalence
     #: tests run every job through all of them.
     executor: str = "batched"
-    #: number of OS processes running the Pull-Respond triple scans of
+    #: number of OS processes running the Pull-Respond scans of
     #: the vectorized tier's b-pull gathers (:mod:`repro.core.modes.parallel`)
     #: on a persistent process pool; the coordinator replays the
     #: results in canonical order, so metrics stay byte-identical to

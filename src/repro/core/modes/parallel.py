@@ -1,8 +1,8 @@
 """Process-pool parallel runtime: the vectorized b-pull gather on N cores.
 
 ``JobConfig(parallelism=N)`` runs one loop across N OS processes: the
-Pull-Respond triple scans of the vectorized tier's gather (Algorithm 2),
-on b-pull supersteps and on hybrid's pull supersteps.  Each responder
+Pull-Respond scans of the vectorized tier's gather (Algorithm 2), on
+b-pull supersteps and on hybrid's pull supersteps.  Each responder
 answers pull requests on its own, so the scans split by responder with
 no traffic between processes.  Everything else — Phase 2's updates,
 push routing, the message stores, the simulated network and metric
@@ -11,18 +11,20 @@ byte-identical to ``parallelism=1``:
 
 * a persistent pool of worker processes is forked at the job's first
   gather and lives across supersteps; each child owns a contiguous shard
-  of the simulated workers and answers the triples whose responder it
-  owns (:func:`~repro.core.modes.vectorized.dense_responder`);
+  of the simulated workers and runs one
+  :func:`~repro.core.modes.vectorized.responder_scan` per responder it
+  owns;
 * the CSR arrays from ``Graph.csr()`` and the dense value array live in
   ``multiprocessing.shared_memory`` segments, so the children read the
   values the coordinator's Phase 2 wrote without any per-superstep
   pickling;
-* children return per-triple results, scan stats and disk deltas; the
-  coordinator replays Algorithm 1's request loop
-  (:func:`~repro.core.modes.common.replay_pull_requests`) in canonical
-  triple order with those results looked up, so the network's flow
-  order, both buffer peaks and the float fold match the in-process
-  gather exactly.
+* children return each responder's scan (per-Vblock answer counts,
+  scan stats, the hit vertices and their partial combines) and their
+  disk deltas; the coordinator hands the scans to
+  :func:`~repro.core.modes.vectorized.replay_scans`, the same replay of
+  Algorithm 1's request loop and responder-ordered fold the in-process
+  gather runs, so the network's flow order, both buffer peaks and the
+  float fold match it exactly.
 
 Every round is a pure read of coordinator state, so a round that loses a
 child is retried on a fresh fork with nothing to restore.
@@ -45,7 +47,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.cluster.fault import WorkerFailure
 from repro.core.metrics import SuperstepMetrics
 from repro.core.modes import vectorized as _vec
-from repro.core.modes.common import replay_pull_requests
 # kept only as the target of perfbench's modes.finalize wrap point
 from repro.core.modes.common import finalize_superstep_metrics  # noqa: F401
 from repro.obs.events import CAT_PARALLEL
@@ -118,30 +119,19 @@ def _child_gather(
     aggregates: Dict[str, float],
     resp_bytes: bytes,
 ) -> Dict[str, Any]:
-    """Answer every triple whose responder is in *workers*.
-
-    Triples are keyed ``(requester, block, responder)`` so the
-    coordinator can replay the canonical triple order with each result
-    looked up; the child's own order only affects order-independent sums
-    (its shard's disks and scan stats), which ship alongside.
-    """
+    """Scan every responder in *workers*: its
+    :func:`~repro.core.modes.vectorized.responder_scan` result, keyed by
+    worker id, plus each one's disk delta."""
     rt.ctx.superstep = superstep
     rt.ctx.aggregates = aggregates
-    respond, scan_stats = _vec.dense_responder(
-        rt, rt.scratch["vectorized"], resp_bytes
-    )
+    state = rt.scratch["vectorized"]
+    inputs = _vec.scan_inputs(rt, state, resp_bytes)
     before = {w.worker_id: w.disk.snapshot() for w in workers}
-    triples: Dict[Tuple[int, int, int], Any] = {}
-    for requester in rt.workers:
-        rx = requester.worker_id
-        for block_id in requester.veblock.local_blocks:
-            for responder in workers:
-                got = respond(rx, block_id, responder)
-                if got is not None:
-                    triples[(rx, block_id, responder.worker_id)] = got
     return {
-        "triples": triples,
-        "stats": {w.worker_id: scan_stats[w.worker_id] for w in workers},
+        "scans": {
+            w.worker_id: _vec.responder_scan(rt, state, w, *inputs)
+            for w in workers
+        },
         "disk": {
             w.worker_id: w.disk.delta_since(before[w.worker_id])
             for w in workers
@@ -448,14 +438,14 @@ _parallel_gather_batched = None  # only perfbench's wrap point names it
 def _parallel_gather_vectorized(
     rt, state, metrics, msgs_gen_of, edges_of, pull_memory_of,
 ):
-    """Dense Pull-Request/Pull-Respond with the triple scans on the pool.
+    """Dense Pull-Request/Pull-Respond with the responder scans on the
+    pool.
 
-    Children scan their owned responders' Eblocks (the scans are
+    Children scan their owned responders' edge streams (the scans are
     independent: they read pre-superstep values and flags); the
-    coordinator then replays Algorithm 1 with each triple's result
-    looked up, rebuilding the inbox stream in canonical triple order,
-    and the final global fold happens here — bit-identical to
-    ``_bpull_gather_vectorized``.
+    coordinator replays Algorithm 1 and folds the partials with
+    :func:`~repro.core.modes.vectorized.replay_scans`, exactly as
+    ``_bpull_gather_vectorized`` does.
     """
     pool = rt._pool
     start = perf_counter()
@@ -465,23 +455,15 @@ def _parallel_gather_vectorized(
     )
     replies, busy = pool.run_round([message] * len(pool.shards))
     merge_start = perf_counter()
-    triples: Dict[Tuple[int, int, int], Any] = {}
-    stats: Dict[int, List[int]] = {}
+    scans: Dict[int, Any] = {}
     for reply in replies:
-        triples.update(reply["triples"])
-        stats.update(reply["stats"])
+        scans.update(reply["scans"])
         for wid, delta in reply["disk"].items():
             rt.workers[wid].disk.counters.add(delta)
-    stream: List[Tuple[Any, Any]] = []
-    replay_pull_requests(
-        rt, metrics, msgs_gen_of, edges_of, pull_memory_of,
-        lambda rx, block_id, responder: triples.get(
-            (rx, block_id, responder.worker_id)
-        ),
-        lambda _rx, pair: stream.append(pair),
-        lambda worker: stats[worker.worker_id],
+    folded = _vec.replay_scans(
+        rt, state, metrics, msgs_gen_of, edges_of, pull_memory_of,
+        [scans[w.worker_id] for w in rt.workers],
     )
-    folded = _vec.fold_stream(state, stream)
     _emit_pool_spans(
         rt, pool, busy, merge_start - start, perf_counter() - merge_start
     )

@@ -14,16 +14,20 @@ over a CSR view of the graph instead of per-vertex Python loops:
   summation would not, and must never be used for value-affecting
   totals here);
 * the program's update/message rules run as dense array expressions via
-  the optional :class:`~repro.core.api.VectorizedRules` interface.
+  the optional :class:`~repro.core.api.VectorizedRules` interface;
+* the b-pull gather answers all of a responder's pull requests in one
+  pass over its VE-BLOCK edge stream (:func:`responder_scan`).
 
 The equivalence contract is strict: ``JobMetrics.to_dict()`` must be
 byte-identical to the other executors for every (input, output)
 mechanism combination, including hybrid's switch supersteps.  Where the
 batched executor's float accumulation order is observable (aggregator
-folds, per-pair b-pull combines followed by a per-vertex fold over pair
-results, the network's per-flow timing accumulation), this module
-reproduces the exact same fold structure rather than a mathematically
-equal one.
+folds, b-pull's per-(requester, Vblock, responder) combines followed by
+a per-vertex fold over them, the network's per-flow timing
+accumulation), this module reproduces the exact same fold structure
+rather than a mathematically equal one.  For b-pull that means one
+combine per (vertex, responder) in Eblock scan order, folded over
+responders in ascending order (:func:`replay_scans`).
 
 NumPy is optional: :func:`fallback_reason` reports why a job cannot run
 vectorized (no NumPy, non-combinable program, no dense rules, …) and the
@@ -51,15 +55,15 @@ from repro.core.modes.common import (
     replay_pull_requests,
 )
 from repro.storage.messages import LoadResult
-from repro.storage.veblock import TripleBundle
 
 __all__ = [
     "fallback_reason",
     "run_superstep_vectorized",
     "VectorizedMessageStore",
     "compute_worker_update",
-    "triple_contribution",
-    "dense_responder",
+    "scan_inputs",
+    "responder_scan",
+    "replay_scans",
     "fold_stream",
     "load_stored_dense",
 ]
@@ -223,14 +227,15 @@ class _WorkerVec:
 
 
 class _PullState:
-    """Dense VE-BLOCK views for the gather: each Vblock's vertex ids.
+    """Dense VE-BLOCK views for the gather: each vertex's Vblock id.
 
-    The Eblock arrays live in each responder's store, as
-    :class:`~repro.storage.veblock.TripleBundle` objects built in setup.
+    The Eblock arrays live in each responder's store, as one sorted edge
+    stream built in setup.
     """
 
     def __init__(self, rt) -> None:
-        _block_of, _block_pos, self.block_vids = rt.layout.arrays
+        self.block_of, _block_vids = rt.layout.arrays
+        self.num_blocks = rt.layout.num_blocks
 
 
 class _VecState:
@@ -518,124 +523,108 @@ def compute_worker_update(
     return staged
 
 
-def triple_contribution(
-    rt,
-    state: "_VecState",
-    responder,
-    bundle: TripleBundle,
-    block_vids,
-    block_res,
-    resp_bool,
-    payload_all,
-    payload_valid,
-    stats: List[int],
-):
-    """Scan one (requested Vblock, responder) triple.
-
-    Charges the responder's disk and scan *stats* (order-independent
-    sums) and returns ``None`` when nothing responds, else
-    ``(nvalues, ngroups, nbytes, ngroups, (vids, combined))`` — the
-    :func:`~repro.core.modes.common.replay_pull_requests` result whose
-    payload is the block-local combine, hit vertices in ascending id
-    order.  Pass ``payload_all=None`` for non-uniform programs.
-    """
-    sizes = rt.config.sizes
-    rules = state.rules
-    values = state.values
-    scanned = block_res[bundle.p_src_block]
-    if not scanned.any():
-        return None
-    num_edges = int(bundle.p_nedge[scanned].sum())
-    aux_bytes = sizes.fragments(int(bundle.p_nfrag[scanned].sum()))
-    edge_bytes = sizes.edges(num_edges)
-    stats[0] += num_edges
-    stats[1] += aux_bytes
-    stats[2] += edge_bytes
-    if aux_bytes + edge_bytes:
-        responder.disk.charge(seq_read=aux_bytes + edge_bytes)
-    # responding fragments pay IO(V_rr) even when their
-    # payload turns out invalid (scalar order: charge
-    # precedes the payload check).  A responding svertex's own block
-    # responds, so its Eblocks are always among the scanned ones.
-    frag_count = int(resp_bool[bundle.f_sv].sum())
-    if frag_count:
-        vrr_bytes = frag_count * sizes.vertex_value
-        responder.disk.charge(random_read=vrr_bytes)
-        stats[3] += vrr_bytes
-    edge_mask = resp_bool[bundle.e_sv]
-    if payload_all is not None:
-        if payload_valid is not None:
-            edge_mask &= payload_valid[bundle.e_sv]
-        if not edge_mask.any():
-            return None
-        positions = bundle.e_pos[edge_mask]
-        payloads = payload_all[bundle.e_sv[edge_mask]]
-    else:
-        if not edge_mask.any():
-            return None
-        payloads, valid = rules.edge_payloads(
-            rt.ctx, values,
-            bundle.e_sv[edge_mask],
-            bundle.e_w[edge_mask], np,
-        )
-        positions = bundle.e_pos[edge_mask]
-        if valid is not None:
-            payloads = payloads[valid]
-            positions = positions[valid]
-        if len(payloads) == 0:
-            return None
-    nvalues = len(positions)
-    block_size = len(block_vids)
-    got = np.zeros(block_size, dtype=bool)
-    got[positions] = True
-    acc_block = _fold(
-        positions, payloads, block_size,
-        rules.combine, state.identity, state.acc_dtype,
-    )
-    ngroups = int(got.sum())
-    nbytes = sizes.combined(ngroups)
-    return (
-        nvalues, ngroups, nbytes, ngroups,
-        (block_vids[got], acc_block[got]),
-    )
-
-
-def dense_responder(rt, state: "_VecState", resp_data):
-    """The dense tier's ``respond`` callback over the flag bytes
-    *resp_data*.
-
-    Returns ``(respond, scan_stats)`` where ``scan_stats`` maps each
-    responder id to its ``[edges, aux_bytes, edge_bytes, vrr_bytes]``
-    accumulated by the callback.
+def scan_inputs(rt, state: "_VecState", resp_data):
+    """What every responder's scan reads, given the flag bytes
+    *resp_data*: ``(resp_bool, block_res, sends, payload_all)`` — each
+    vertex's responding flag, each Vblock's ``res`` indicator, which
+    vertices send (responding, and for uniform programs with a valid
+    payload), and for uniform programs the dense payloads (else None).
     """
     pull = state.pull
-    resp = np.frombuffer(resp_data, dtype=np.uint8)
-    resp_bool = resp.view(np.bool_)
-    block_res = np.fromiter(
-        (bool(resp[vids].any()) for vids in pull.block_vids),
-        dtype=bool, count=len(pull.block_vids),
-    )
-    payload_all = payload_valid = None
+    resp_bool = np.frombuffer(resp_data, dtype=np.bool_)
+    block_res = np.bincount(
+        pull.block_of[resp_bool], minlength=pull.num_blocks
+    ) > 0
+    sends = resp_bool
+    payload_all = None
     if rt.program.uniform_messages:
         # payloads depend only on the source's (pre-update) value, so
         # one dense evaluation replaces the scalar memoization.
         payload_all, payload_valid = state.rules.source_payloads(
             rt.ctx, state.values, state.out_degrees, np
         )
-    scan_stats = {w.worker_id: [0, 0, 0, 0] for w in rt.workers}
+        if payload_valid is not None:
+            sends = resp_bool & payload_valid
+    return resp_bool, block_res, sends, payload_all
 
-    def respond(_rx: int, block_id: int, responder):
-        ry = responder.worker_id
-        bundle = responder.veblock.bundles.get(block_id)
-        if bundle is None:
-            return None
-        return triple_contribution(
-            rt, state, responder, bundle, pull.block_vids[block_id],
-            block_res, resp_bool, payload_all, payload_valid,
-            scan_stats[ry],
+
+def responder_scan(
+    rt,
+    state: "_VecState",
+    responder,
+    resp_bool,
+    block_res,
+    sends,
+    payload_all,
+):
+    """Pull-Respond (Algorithm 2) for every request *responder* gets this
+    superstep, in one pass over its sorted edge stream.
+
+    Charges the responder's disk: a sequential read of every Eblock whose
+    source block responds, and ``S_v`` per responding fragment
+    (``IO(V_rr)``, paid even when the payload turns out invalid, as in
+    the scalar order; a responding svertex's own block responds, so its
+    Eblocks are always among the scanned ones).  Returns ``(stats,
+    answers, hit, combined)``:
+
+    * ``stats``: ``[edges, aux_bytes, edge_bytes, vrr_bytes]`` scanned;
+    * ``answers``: per Vblock id, None when the responder sends that
+      block nothing, else the ``(nvalues, ngroups, nbytes, units,
+      None)`` a :func:`~repro.core.modes.common.replay_pull_requests`
+      ``respond`` returns;
+    * ``hit``, ``combined``: the vertices that get a value, ascending,
+      and each one's combine of its edges in stream order, which is its
+      block's Eblock scan order.
+    """
+    store = responder.veblock
+    pull = state.pull
+    sizes = rt.config.sizes
+    scanned = block_res[store.p_src_block]
+    num_edges = int(store.p_nedge[scanned].sum())
+    aux_bytes = sizes.fragments(int(store.p_nfrag[scanned].sum()))
+    edge_bytes = sizes.edges(num_edges)
+    vrr_bytes = sizes.vertex_value * int(resp_bool[store.f_sv].sum())
+    responder.disk.charge(
+        seq_read=aux_bytes + edge_bytes, random_read=vrr_bytes
+    )
+    stats = [num_edges, aux_bytes, edge_bytes, vrr_bytes]
+    answers: List[Any] = [None] * pull.num_blocks
+    edge_mask = sends[store.e_sv]
+    dsts = store.e_dst[edge_mask]
+    if not len(dsts):
+        return stats, answers, dsts, dsts  # nothing to send
+    sources = store.e_sv[edge_mask]
+    if payload_all is not None:
+        payloads = payload_all[sources]
+    else:
+        payloads, valid = state.rules.edge_payloads(
+            rt.ctx, state.values, sources, store.e_w[edge_mask], np
         )
-
-    return respond, scan_stats
+        if valid is not None:
+            payloads = payloads[valid]
+            dsts = dsts[valid]
+    num_vertices = len(state.values)
+    got = np.zeros(num_vertices, dtype=bool)
+    got[dsts] = True
+    hit = np.flatnonzero(got)
+    combined = _fold(
+        dsts, payloads, num_vertices,
+        state.rules.combine, state.identity, state.acc_dtype,
+    )[hit]
+    # the stream is sorted by destination block: each block's values
+    # are one run of it
+    nvalues = np.diff(np.searchsorted(
+        pull.block_of[dsts], np.arange(pull.num_blocks + 1)
+    ))
+    ngroups = np.bincount(pull.block_of[hit], minlength=pull.num_blocks)
+    blocks = np.flatnonzero(nvalues)
+    for block_id, nval, ngroup in zip(
+        blocks.tolist(), nvalues[blocks].tolist(), ngroups[blocks].tolist()
+    ):
+        answers[block_id] = (
+            nval, ngroup, sizes.combined(ngroup), ngroup, None
+        )
+    return stats, answers, hit, combined
 
 
 def load_stored_dense(rt, state: "_VecState", metrics, spill_read_of,
@@ -695,7 +684,7 @@ def run_superstep_vectorized(
 ) -> SuperstepMetrics:
     """Execute one BSP superstep with dense kernels.
 
-    When the job's process pool is running, the gather's triple scans
+    When the job's process pool is running, the gather's responder scans
     run on it (:mod:`repro.core.modes.parallel`); everything else is the
     same code either way.
     """
@@ -802,19 +791,35 @@ def _bpull_gather_vectorized(
     edges_of: Dict[int, int],
     pull_memory_of: Dict[int, int],
 ):
-    """Dense Pull-Request/Pull-Respond with batched-identical charges.
+    """Dense Pull-Request/Pull-Respond with batched-identical charges:
+    one :func:`responder_scan` per responder, then :func:`replay_scans`."""
+    inputs = scan_inputs(rt, state, rt.resp_prev.data)
+    scans = [
+        responder_scan(rt, state, worker, *inputs) for worker in rt.workers
+    ]
+    return replay_scans(
+        rt, state, metrics, msgs_gen_of, edges_of, pull_memory_of, scans
+    )
 
-    The fold is two-level, mirroring the scalar inbox structure: each
-    (requester, Vblock, responder) triple combines its edge stream
-    block-locally (Eblock scan order), and the per-vertex fold over the
-    pair results happens in triple-iteration order — a single flat fold
-    over all edges would regroup the floats and break bit-identity.
+
+def replay_scans(
+    rt, state, metrics, msgs_gen_of, edges_of, pull_memory_of, scans,
+):
+    """Algorithm 1's accounting over every responder's scan (*scans* in
+    worker-id order), then the dense fold of their partials.
+
+    Each vertex gets at most one partial per responder, folded in
+    ascending responder order: the per-vertex order of the canonical
+    (requester, Vblock, responder) triple stream, so the floats group
+    exactly as a per-triple fold would.
     """
-    respond, scan_stats = dense_responder(rt, state, rt.resp_prev.data)
-    stream: List[Tuple[Any, Any]] = []
+    stats, answers, hits, combined = zip(*scans)
     replay_pull_requests(
         rt, metrics, msgs_gen_of, edges_of, pull_memory_of,
-        respond, lambda _rx, pair: stream.append(pair),
-        lambda worker: scan_stats[worker.worker_id],
+        lambda _rx, block, responder: answers[responder.worker_id][block],
+        lambda _rx, _payload: None,
+        lambda worker: stats[worker.worker_id],
     )
-    return fold_stream(state, stream)
+    return fold_stream(state, [
+        pair for pair in zip(hits, combined) if len(pair[0])
+    ])

@@ -20,8 +20,9 @@ effect at coarse granularity), and the svertex *value* of each responding
 fragment is read randomly from the Vblock (``IO(V_rr)`` in Eq. 8).
 
 A store has one set of metadata and size tables and two builders chosen
-by executor tier: fragment lists for the scalar tiers, sorted NumPy arrays
-(:class:`TripleBundle`) and no fragment list for the vectorized tier.
+by executor tier: fragment lists for the scalar tiers, and for the
+vectorized tier one edge stream sorted by ``(dst_block, src_block)`` as
+flat NumPy arrays, with no fragment list.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.records import RecordSizes
 
 __all__ = [
-    "BlockLayout", "Fragment", "TripleBundle", "VBlockMeta", "VEBlockStore",
+    "BlockLayout", "Fragment", "VBlockMeta", "VEBlockStore",
 ]
 
 
@@ -66,18 +67,14 @@ class BlockLayout:
         ]
 
     @cached_property
-    def arrays(self) -> Tuple[Any, Any, List[Any]]:
-        """``(block_of, block_pos, block_vids)`` as NumPy arrays, built
-        once per layout: each vertex's block id and its position inside
-        the block, and each block's vertex ids."""
+    def arrays(self) -> Tuple[Any, List[Any]]:
+        """``(block_of, block_vids)`` as NumPy arrays, built once per
+        layout: each vertex's block id and each block's vertex ids."""
         import numpy as np
 
         block_of = np.asarray(self.block_of_vertex, dtype=np.int64)
         block_vids = [np.asarray(v, np.int64) for v in self.block_vertices]
-        block_pos = np.zeros(len(block_of), dtype=np.int64)
-        for vids in block_vids:
-            block_pos[vids] = np.arange(len(vids))
-        return block_of, block_pos, block_vids
+        return block_of, block_vids
 
     @staticmethod
     def build(
@@ -139,21 +136,6 @@ class VBlockMeta:
         return 16 + (num_blocks + 7) // 8
 
 
-class TripleBundle:
-    """The Eblocks one responder scans for one requested Vblock.
-
-    Slices of the store's edge stream sorted by ``(dst_block,
-    src_block)``: Eblocks in ``local_blocks`` order, fragments in
-    svertex order, edges in adjacency order.  ``p_*`` have one entry per
-    Eblock, ``f_sv`` one per fragment, ``e_*`` one per edge (``e_pos``:
-    the destination's position inside the Vblock).
-    """
-
-    __slots__ = (
-        "p_src_block", "p_nedge", "p_nfrag", "f_sv", "e_sv", "e_pos", "e_w",
-    )
-
-
 class VEBlockStore:
     """Per-worker VE-BLOCK storage with I/O accounting.
 
@@ -172,9 +154,9 @@ class VEBlockStore:
         that shows why clustering matters (Theorem 1 makes fragment count,
         not edge count, the I/O driver).
     as_arrays:
-        Build sorted NumPy arrays (:attr:`bundles`) for the vectorized
-        executor instead of fragment lists; the fragment accessors then
-        raise ``RuntimeError``.
+        Build the sorted edge stream (:attr:`e_sv` and friends) for the
+        vectorized executor instead of fragment lists; the fragment
+        accessors then raise ``RuntimeError``.
     """
 
     def __init__(
@@ -204,8 +186,15 @@ class VEBlockStore:
         self._fragments_of_vertex: Dict[int, int] = {}
         self._num_fragments = 0
         self._num_edges = 0
-        #: dst_block -> :class:`TripleBundle`; None without ``as_arrays``.
-        self.bundles: Optional[Dict[int, TripleBundle]] = None
+        #: with ``as_arrays``, the local edge stream sorted by
+        #: ``(dst_block, src_block)``: Eblocks in ``local_blocks`` order
+        #: inside each destination block's run, fragments in svertex
+        #: order, edges in adjacency order.  ``e_*`` have one entry per
+        #: edge (svertex, global destination, weight), ``f_sv`` one per
+        #: fragment, ``p_*`` one per Eblock; None otherwise.
+        self.e_sv = self.e_dst = self.e_w = self.f_sv = None
+        self.p_src_block = self.p_dst_block = None
+        self.p_nedge = self.p_nfrag = None
         if as_arrays:
             self._build_arrays(fragment_clustering)
         else:
@@ -274,12 +263,12 @@ class VEBlockStore:
         Stably sorting the block-ordered stream (svertex-major,
         adjacency-minor) by ``(dst_block, src_block)`` keeps that order
         inside each Eblock and makes each destination block's Eblocks one
-        run in ``local_blocks`` order.  Run-length encoding gives Eblock
-        and fragment boundaries; each run's slices form a bundle.
+        run in ``local_blocks`` order.  Run-length encoding gives the
+        Eblock and fragment boundaries.
         """
         import numpy as np
 
-        block_of, block_pos, block_vids = self._layout.arrays
+        block_of, block_vids = self._layout.arrays
         num_blocks = self._layout.num_blocks
         csr = self._graph.csr()
         local = np.concatenate([block_vids[b] for b in self._local_blocks])
@@ -288,46 +277,35 @@ class VEBlockStore:
         key = block_of[e_dst] * num_blocks + block_of[e_sv]
         order = np.argsort(key, kind="stable")
         key = key[order]
-        e_sv = e_sv[order]
-        e_pos = block_pos[e_dst[order]]
-        e_w = e_w[order]
+        self.e_sv = e_sv[order]
+        self.e_dst = e_dst[order]
+        self.e_w = e_w[order]
         is_eblock = np.diff(key, prepend=-1) != 0
         # a fragment is one svertex's run inside an Eblock; without
         # clustering (the ablation) every edge is its own fragment
         is_fragment = (
-            is_eblock | (np.diff(e_sv, prepend=-1) != 0) | (not clustering)
+            is_eblock | (np.diff(self.e_sv, prepend=-1) != 0)
+            | (not clustering)
         )
         eb_start = np.flatnonzero(is_eblock)
-        f_sv = e_sv[is_fragment]
-        eb_edges = np.append(eb_start, len(key))
-        eb_frags = np.append(np.cumsum(is_fragment)[eb_start] - 1, len(f_sv))
-        eb_nedge = np.diff(eb_edges)
-        eb_nfrag = np.diff(eb_frags)
-        eb_dst, eb_src = np.divmod(key[eb_start], num_blocks)
-
-        self._fill_meta(zip(eb_src.tolist(), eb_dst.tolist(),
-                            eb_nfrag.tolist(), eb_nedge.tolist()))
-        frags_of = np.bincount(f_sv, minlength=len(block_of))[local].tolist()
-        self._fragments_of_vertex = dict(zip(local.tolist(), frags_of))
-
-        runs = np.flatnonzero(np.diff(eb_dst, prepend=-1))
-        bounds = np.append(runs, len(eb_dst)).tolist()
-        eb_edges = eb_edges.tolist()
-        eb_frags = eb_frags.tolist()
-        self.bundles = {}
-        for dst, lo, hi in zip(eb_dst[runs].tolist(), bounds, bounds[1:]):
-            bundle = self.bundles[dst] = TripleBundle()
-            bundle.p_src_block = eb_src[lo:hi]
-            bundle.p_nedge = eb_nedge[lo:hi]
-            bundle.p_nfrag = eb_nfrag[lo:hi]
-            bundle.f_sv = f_sv[eb_frags[lo]:eb_frags[hi]]
-            e_lo, e_hi = eb_edges[lo], eb_edges[hi]
-            bundle.e_sv = e_sv[e_lo:e_hi]
-            bundle.e_pos = e_pos[e_lo:e_hi]
-            bundle.e_w = e_w[e_lo:e_hi]
+        self.f_sv = self.e_sv[is_fragment]
+        self.p_nedge = np.diff(np.append(eb_start, len(key)))
+        self.p_nfrag = np.diff(np.append(
+            np.cumsum(is_fragment)[eb_start] - 1, len(self.f_sv)
+        ))
+        self.p_dst_block, self.p_src_block = np.divmod(
+            key[eb_start], num_blocks
+        )
+        self._fill_meta(zip(
+            self.p_src_block.tolist(), self.p_dst_block.tolist(),
+            self.p_nfrag.tolist(), self.p_nedge.tolist(),
+        ))
+        frags_of = np.bincount(self.f_sv, minlength=len(block_of))[local]
+        self._fragments_of_vertex = dict(zip(local.tolist(),
+                                             frags_of.tolist()))
 
     def _require_fragments(self) -> None:
-        if self.bundles is not None:
+        if self.e_sv is not None:
             raise RuntimeError("this VE-BLOCK store was built as arrays "
                                "for the vectorized executor: no fragments")
 

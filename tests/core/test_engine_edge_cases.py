@@ -1,6 +1,8 @@
 """Edge cases: self-loops, multi-edges, tiny graphs, estimator bounds."""
 
+import json
 import math
+import multiprocessing
 
 import pytest
 
@@ -9,9 +11,43 @@ from repro.algorithms.sssp import SSSP
 from repro.core.config import JobConfig
 from repro.core.engine import run_job
 from repro.core.graph import Graph
+from repro.core.modes import vectorized
 from repro.datasets.generators import random_graph
 
 MODES = ("push", "bpull", "hybrid", "pull")
+
+#: parallelism degrees the vectorized checks run: p=2 only where the
+#: process pool can run (elsewhere it would just fall back to p=1).
+PARALLELISMS = (
+    (1, 2)
+    if vectorized.np is not None
+    and "fork" in multiprocessing.get_all_start_methods()
+    else (1,)
+)
+
+
+def _dump(result):
+    payload = result.metrics.to_dict()
+    payload.pop("fallback", None)  # recorded only by downgraded runs
+    return json.dumps(payload, sort_keys=True)
+
+
+def assert_vectorized_matches_reference(graph, program, modes, **cfg):
+    """Vectorized b-pull/hybrid runs, in process and on the pool, equal
+    the reference executor's metrics and values."""
+    for mode in modes:
+        reference = run_job(graph, program(), JobConfig(
+            mode=mode, executor="reference", **cfg))
+        for parallelism in PARALLELISMS:
+            result = run_job(graph, program(), JobConfig(
+                mode=mode, executor="vectorized", parallelism=parallelism,
+                **cfg))
+            if vectorized.np is not None:
+                rt = result.runtime
+                assert rt.active_executor == "vectorized"
+                assert rt.active_parallelism == parallelism
+            assert _dump(result) == _dump(reference)
+            assert result.values == reference.values
 
 
 class TestIrregularGraphs:
@@ -37,6 +73,11 @@ class TestIrregularGraphs:
         assert result.values == reference.values
         # the cheaper parallel edge wins
         assert reference.values[2] == pytest.approx(2.0)
+        if mode in ("bpull", "hybrid"):
+            assert_vectorized_matches_reference(
+                g, lambda: SSSP(source=0), (mode,),
+                num_workers=2, message_buffer_per_worker=2,
+            )
 
     @pytest.mark.parametrize("mode", MODES)
     def test_single_vertex_graph(self, mode):
@@ -55,6 +96,11 @@ class TestIrregularGraphs:
         assert all(
             math.isinf(v) for i, v in enumerate(result.values) if i != 2
         )
+        # every responder's edge stream is empty: gathers send nothing
+        if mode in ("bpull", "hybrid"):
+            assert_vectorized_matches_reference(
+                g, lambda: SSSP(source=2), (mode,), num_workers=2,
+            )
 
     def test_more_workers_than_vertices(self):
         g = Graph(3, [(0, 1), (1, 2)])
@@ -62,6 +108,11 @@ class TestIrregularGraphs:
                          JobConfig(mode="hybrid", num_workers=8,
                                    message_buffer_per_worker=2))
         assert result.values == [0.0, 1.0, 2.0]
+        # most workers own no vertex, so their edge streams are empty
+        assert_vectorized_matches_reference(
+            g, lambda: SSSP(source=0), ("bpull", "hybrid"),
+            num_workers=8, message_buffer_per_worker=2,
+        )
 
 
 class TestEstimatorBounds:

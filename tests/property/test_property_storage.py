@@ -90,18 +90,24 @@ def fragment_streams(store, dst_block):
     return eblocks, frags, edges
 
 
-def bundle_streams(bundle, layout, dst_block):
-    """The same three streams, read from an array-built store's bundle."""
-    if bundle is None:
+def bundle_streams(store, dst_block):
+    """The same three streams, read from *dst_block*'s slice of an
+    array-built store's sorted stream (its Eblocks are one run)."""
+    eblocks = numpy.flatnonzero(store.p_dst_block == dst_block).tolist()
+    if not eblocks:
         return [], [], []
-    block = layout.block_vertices[dst_block]
+    lo, hi = eblocks[0], eblocks[-1] + 1
+    assert hi - lo == len(eblocks)
+    e_at = numpy.concatenate(([0], numpy.cumsum(store.p_nedge))).tolist()
+    f_at = numpy.concatenate(([0], numpy.cumsum(store.p_nfrag))).tolist()
+    edges = slice(e_at[lo], e_at[hi])
     return (
-        list(zip(bundle.p_src_block.tolist(), bundle.p_nedge.tolist(),
-                 bundle.p_nfrag.tolist())),
-        bundle.f_sv.tolist(),
-        list(zip(bundle.e_sv.tolist(),
-                 [block[p] for p in bundle.e_pos.tolist()],
-                 bundle.e_w.tolist())),
+        list(zip(store.p_src_block[lo:hi].tolist(),
+                 store.p_nedge[lo:hi].tolist(),
+                 store.p_nfrag[lo:hi].tolist())),
+        store.f_sv[f_at[lo]:f_at[hi]].tolist(),
+        list(zip(store.e_sv[edges].tolist(), store.e_dst[edges].tolist(),
+                 store.e_w[edges].tolist())),
     )
 
 
@@ -151,9 +157,9 @@ class TestVEBlockProperties:
                            as_arrays=True)
             assert tables(arrays, flags) == tables(store, flags)
             for dst_block in range(layout.num_blocks):
-                assert bundle_streams(
-                    arrays.bundles.get(dst_block), layout, dst_block
-                ) == fragment_streams(store, dst_block)
+                assert bundle_streams(arrays, dst_block) == (
+                    fragment_streams(store, dst_block)
+                )
             with pytest.raises(RuntimeError, match="vectorized"):
                 arrays.eblock(store.local_blocks[0], 0)
             with pytest.raises(RuntimeError, match="vectorized"):
