@@ -15,11 +15,16 @@ iteration state —
 and charges the sequential write of values + pending messages as modeled
 checkpoint cost.  On a failure the engine restores the latest snapshot
 and resumes from the following superstep instead of superstep 1.
+
+The message stores and the Switcher are pickled once, when the snapshot
+is taken, so a :class:`Checkpoint` never aliases live objects; every
+restore unpickles fresh ones.  The engine keeps snapshots in a
+:class:`~repro.cluster.checkpoint_store.CheckpointStore`.
 """
 
 from __future__ import annotations
 
-import copy
+import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -30,10 +35,13 @@ from repro.storage.records import RecordSizes
 
 __all__ = [
     "Checkpoint",
-    "CheckpointLog",
     "take_checkpoint",
     "restore_checkpoint",
 ]
+
+
+def _freeze(stores: Dict[int, Any], controller: Any) -> bytes:
+    return pickle.dumps((stores, controller), protocol=pickle.HIGHEST_PROTOCOL)
 
 
 @dataclass
@@ -44,9 +52,9 @@ class Checkpoint:
     prev_mode: Optional[str]
     values: List[Any]
     resp_prev: List[bool]
-    #: worker id -> deep-copied message store (push family), or None.
-    stores: Dict[int, Any] = field(default_factory=dict)
-    controller_state: Any = None
+    #: pickled ``(worker id -> message store, controller)``; the stores
+    #: cover the push family's workers only.
+    state: bytes = _freeze({}, None)
     #: modeled bytes written to persist this snapshot.
     nbytes: int = 0
     #: aggregator totals published for the superstep after the snapshot.
@@ -54,40 +62,6 @@ class Checkpoint:
 
     def write_seconds(self, seq_write_mbps: float) -> float:
         return self.nbytes / (seq_write_mbps * 1024.0 * 1024.0)
-
-
-class CheckpointLog:
-    """The coordinator's in-memory snapshot log: keep-last-K + validity.
-
-    Mirrors the durable store's retention and corruption semantics so
-    in-memory-only jobs exercise the same recovery policy: the newest
-    *valid* snapshot wins; a ``checkpoint_corrupt`` fault invalidates
-    the newest entry, pushing recovery to the previous one (or to
-    scratch).
-    """
-
-    def __init__(self, keep_last: int = 2) -> None:
-        self._keep_last = max(1, keep_last)
-        self._entries: List[List[Any]] = []  # [checkpoint, valid]
-
-    def add(self, checkpoint: Checkpoint) -> None:
-        self._entries.append([checkpoint, True])
-        del self._entries[:-self._keep_last]
-
-    def corrupt_latest(self) -> Optional[int]:
-        """Invalidate the newest valid snapshot; returns its superstep."""
-        for entry in reversed(self._entries):
-            if entry[1]:
-                entry[1] = False
-                return entry[0].superstep
-        return None
-
-    def best(self) -> Optional[Checkpoint]:
-        """The newest valid snapshot, or None."""
-        for entry in reversed(self._entries):
-            if entry[1]:
-                return entry[0]
-        return None
 
 
 def _snapshot_bytes(rt: Runtime, sizes: RecordSizes) -> int:
@@ -108,7 +82,7 @@ def take_checkpoint(
     ``rt.resp_prev`` holds the flags produced by *superstep*.
     """
     stores = {
-        w.worker_id: copy.deepcopy(w.message_store)
+        w.worker_id: w.message_store
         for w in rt.workers
         if w.message_store is not None
     }
@@ -117,8 +91,7 @@ def take_checkpoint(
         prev_mode=prev_mode,
         values=list(rt.values),
         resp_prev=list(rt.resp_prev),
-        stores=stores,
-        controller_state=copy.deepcopy(controller),
+        state=_freeze(stores, controller),
         nbytes=_snapshot_bytes(rt, rt.config.sizes),
         aggregates=dict(rt.ctx.aggregates),
     )
@@ -137,8 +110,8 @@ def take_checkpoint(
 def restore_checkpoint(rt: Runtime, checkpoint: Checkpoint) -> Any:
     """Reset the runtime to *checkpoint*; returns the restored controller.
 
-    The snapshot's own containers are deep-copied on the way back in so
-    the same checkpoint can serve repeated failures.
+    Each call unpickles fresh stores and a fresh controller, so the same
+    checkpoint can serve repeated failures.
     """
     tracer = rt.tracer
     if tracer.enabled:
@@ -159,17 +132,17 @@ def restore_checkpoint(rt: Runtime, checkpoint: Checkpoint) -> Any:
     # without this, aggregate-reading programs would resume against the
     # failure-time totals instead of the checkpoint-time ones.
     rt.ctx.aggregates = dict(checkpoint.aggregates)
+    stores, controller = pickle.loads(checkpoint.state)
     for worker in rt.workers:
         if worker.message_store is None:
             continue
-        restored = checkpoint.stores.get(worker.worker_id)
+        restored = stores.get(worker.worker_id)
         if restored is None:
             worker.message_store.load()  # drain whatever is pending
         else:
-            worker.message_store = copy.deepcopy(restored)
-            # the deep copy (or unpickle, for durable snapshots) carried
-            # a private clone of the worker's disk; rebind so post-restore
-            # spills charge the live one.
-            if hasattr(worker.message_store, "_disk"):
-                worker.message_store._disk = worker.disk
-    return copy.deepcopy(checkpoint.controller_state)
+            worker.message_store = restored
+            # the unpickled store carries a private clone of the worker's
+            # disk; rebind so post-restore spills charge the live one.
+            if hasattr(restored, "_disk"):
+                restored._disk = worker.disk
+    return controller

@@ -1,15 +1,18 @@
-"""Durable checkpoint store: versioned, checksummed snapshot files.
+"""Checkpoint store: versioned, checksummed snapshots in memory or on disk.
 
-The engine's in-memory snapshots (:mod:`repro.cluster.checkpoint`) die
-with the coordinator.  This store serialises each
-:class:`~repro.cluster.checkpoint.Checkpoint` — optionally together
-with the :class:`~repro.core.metrics.JobMetrics` accumulated so far —
-to a file under a checkpoint directory, so a killed driver process can
-continue with ``run_job(..., JobConfig(resume_from=<dir>))``.
+The engine keeps every :class:`~repro.cluster.checkpoint.Checkpoint`
+here as one framed byte string.  With no directory the frames live in a
+dict and die with the coordinator.  With a directory they are
+``ckpt-<superstep>.bin`` files, optionally bundled with the
+:class:`~repro.core.metrics.JobMetrics` accumulated so far, so a killed
+driver process can continue with
+``run_job(..., JobConfig(resume_from=<dir>))``.  Framing, validation,
+retention, ownership and the corruption hook are the same code in both
+modes; only where the bytes live differs.
 
-File format (``ckpt-<superstep>.bin``)::
+Frame format (a file's content)::
 
-    8 bytes   magic + format version      b"HGCKPT\\x00\\x01"
+    8 bytes   magic + format version      b"HGCKPT\\x00\\x02"
     4 bytes   section count               big-endian u32
     per section:
         2 bytes   name length             big-endian u16
@@ -21,17 +24,15 @@ File format (``ckpt-<superstep>.bin``)::
 Sections: ``meta`` (JSON: superstep, modeled nbytes), ``checkpoint``
 (pickled Checkpoint), and optionally ``metrics`` (pickled JobMetrics).
 Every payload carries its own CRC32, so corruption anywhere in the
-file — header, flipped payload bytes, truncation — is detected on
-load and the reader falls back to the previous file rather than
-crashing or resuming from bad state.
+frame — header, flipped payload bytes, truncation — is detected on
+load and the reader falls back to the previous snapshot rather than
+crashing or resuming from bad state; frames of another format version
+fail the magic check the same way.
 
-Durability discipline: writes go to a temp file in the same directory,
-are fsync'd, then atomically renamed over the final name.  A crash
-mid-write leaves either the old file or no file — never a torn one.
-Retention keeps the newest ``keep_last`` files and unlinks the rest.
+Retention keeps the newest ``keep_last`` snapshots and drops the rest.
 
 The store is an *operational* layer: modeled checkpoint cost is charged
-by the engine exactly as for in-memory snapshots, and nothing here
+by the engine whether or not a directory is set, and nothing here
 touches the cost model, so durable and in-memory runs stay
 byte-identical in ``JobMetrics``.
 """
@@ -46,19 +47,19 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.cluster.checkpoint import Checkpoint
 
 __all__ = ["CheckpointStore", "CorruptSnapshot", "RestoredSnapshot"]
 
-MAGIC = b"HGCKPT\x00\x01"
+MAGIC = b"HGCKPT\x00\x02"
 _PREFIX = "ckpt-"
 _SUFFIX = ".bin"
 
 
 class CorruptSnapshot(Exception):
-    """A snapshot file failed validation (bad magic, CRC, truncation)."""
+    """A snapshot failed validation (bad magic, CRC, truncation)."""
 
 
 @dataclass
@@ -67,8 +68,9 @@ class RestoredSnapshot:
 
     checkpoint: Checkpoint
     metrics: Optional[Any]
-    path: Path
-    #: files that were skipped as corrupt/unreadable before this one.
+    #: the snapshot's file, or None for an in-memory store.
+    path: Optional[Path]
+    #: snapshots that were skipped as corrupt/unreadable before this one.
     skipped: List[str]
 
 
@@ -89,28 +91,83 @@ def _read_exact(buf: io.BufferedIOBase, n: int) -> bytes:
     return data
 
 
-class CheckpointStore:
-    """Keep-last-K durable snapshots under one directory."""
+def _superstep_of(name: str) -> Optional[int]:
+    try:
+        return int(name[len(_PREFIX):-len(_SUFFIX)])
+    except ValueError:
+        return None
 
-    def __init__(self, directory: str, keep_last: int = 2) -> None:
-        self.directory = Path(directory)
+
+class _Directory:
+    """The ``ckpt-*.bin`` files of one directory, as a dict of bytes.
+
+    Writes go to a temp file in the same directory, are fsync'd, then
+    atomically renamed over the final name.  A crash mid-write leaves
+    either the old file or no file — never a torn one.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        path.mkdir(parents=True, exist_ok=True)
+
+    def __iter__(self) -> Iterator[str]:
+        return (
+            p.name for p in self.path.glob(f"{_PREFIX}*{_SUFFIX}")
+            if p.is_file()
+        )
+
+    def __contains__(self, name: str) -> bool:
+        return (self.path / name).is_file()
+
+    def __getitem__(self, name: str) -> bytes:
+        return (self.path / name).read_bytes()
+
+    def __setitem__(self, name: str, blob: bytes) -> None:
+        final = self.path / name
+        tmp = final.with_name(final.name + ".tmp")
+        with open(tmp, "wb") as handle:
+            handle.write(blob)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, final)
+
+    def __delitem__(self, name: str) -> None:
+        try:
+            (self.path / name).unlink()
+        except OSError:
+            pass
+
+
+class CheckpointStore:
+    """Keep-last-K framed snapshots, in memory or under one directory."""
+
+    def __init__(self, directory: Optional[str] = None,
+                 keep_last: int = 2) -> None:
+        self.directory = None if directory is None else Path(directory)
         self.keep_last = max(1, keep_last)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        #: superstep -> path for files THIS instance wrote (or adopted
-        #: after a resume).  Retention, in-run recovery and chaos
-        #: corruption act only on owned files, so stale snapshots a
+        #: snapshot name -> framed bytes: a dict, or the directory's files.
+        self._blobs: Any = (
+            {} if self.directory is None else _Directory(self.directory)
+        )
+        #: superstep -> name of each snapshot THIS instance wrote (or
+        #: adopted after a resume).  Retention, in-run recovery and chaos
+        #: corruption act only on owned snapshots, so stale files a
         #: previous run left in the directory are never deleted,
         #: restored from, or corrupted by the current run.
-        self._owned: Dict[int, Path] = {}
+        self._owned: Dict[int, str] = {}
+
+    def _path(self, name: str) -> Optional[Path]:
+        return None if self.directory is None else self.directory / name
 
     # Writing ----------------------------------------------------------
     def save(self, checkpoint: Checkpoint,
-             metrics: Optional[Any] = None) -> Path:
-        """Atomically persist *checkpoint* (+ metrics) and apply retention.
+             metrics: Optional[Any] = None) -> Optional[Path]:
+        """Persist *checkpoint* (+ metrics) and apply retention.
 
-        Re-saving the same superstep (a checkpoint re-taken after a
-        restart rewound past it) atomically replaces the old file, which
-        also heals a previously corrupted snapshot of that superstep.
+        Returns the snapshot's file, or None in memory.  Re-saving the
+        same superstep (a checkpoint re-taken after a restart rewound
+        past it) replaces the old snapshot, which also heals a
+        previously corrupted one.
         """
         sections: Dict[str, bytes] = {
             "meta": json.dumps({
@@ -126,20 +183,14 @@ class CheckpointStore:
             sections["metrics"] = pickle.dumps(
                 metrics, protocol=pickle.HIGHEST_PROTOCOL
             )
-        blob = MAGIC + struct.pack(">I", len(sections)) + b"".join(
-            _pack_section(name, payload)
-            for name, payload in sections.items()
+        name = f"{_PREFIX}{checkpoint.superstep:08d}{_SUFFIX}"
+        self._blobs[name] = MAGIC + struct.pack(">I", len(sections)) + (
+            b"".join(_pack_section(key, payload)
+                     for key, payload in sections.items())
         )
-        final = self.directory / f"{_PREFIX}{checkpoint.superstep:08d}{_SUFFIX}"
-        tmp = final.with_name(final.name + ".tmp")
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, final)
-        self._owned[checkpoint.superstep] = final
+        self._owned[checkpoint.superstep] = name
         self._apply_retention()
-        return final
+        return self._path(name)
 
     def adopt(self, path: "Path | str") -> None:
         """Claim a pre-existing snapshot file as this run's own.
@@ -148,55 +199,55 @@ class CheckpointStore:
         becomes part of its lineage, so a failure before the first new
         save can still fall back to it through the owned-only path.
         """
-        path = Path(path)
-        at = self._superstep_of(path)
+        name = Path(path).name
+        at = _superstep_of(name)
         if at is not None:
-            self._owned[at] = path
+            self._owned[at] = name
 
     def _apply_retention(self) -> None:
         owned = sorted(
-            (at, path) for at, path in self._owned.items() if path.exists()
+            (at, name) for at, name in self._owned.items()
+            if name in self._blobs
         )
         for at, stale in owned[:-self.keep_last]:
-            try:
-                stale.unlink()
-            except OSError:
-                pass
+            del self._blobs[stale]
             self._owned.pop(at, None)
 
     # Reading ----------------------------------------------------------
     def files(self) -> List[Path]:
-        """Snapshot files, oldest first (superstep order)."""
-        return sorted(
-            p for p in self.directory.glob(f"{_PREFIX}*{_SUFFIX}")
-            if p.is_file()
-        )
+        """Snapshot files, oldest first (superstep order); none in memory."""
+        if self.directory is None:
+            return []
+        return [self.directory / name for name in sorted(self._blobs)]
 
-    @staticmethod
-    def _superstep_of(path: Path) -> Optional[int]:
-        stem = path.name[len(_PREFIX):-len(_SUFFIX)]
-        try:
-            return int(stem)
-        except ValueError:
-            return None
+    def _newest_first(self, max_superstep: Optional[int],
+                      owned_only: bool) -> Iterator[str]:
+        for name in sorted(self._blobs, reverse=True):
+            at = _superstep_of(name)
+            if max_superstep is not None:
+                if at is None or at > max_superstep:
+                    continue
+            if owned_only and (at is None or self._owned.get(at) != name):
+                continue
+            yield name
 
-    def _load_file(self, path: Path) -> RestoredSnapshot:
-        with open(path, "rb") as handle:
-            if _read_exact(handle, len(MAGIC)) != MAGIC:
-                raise CorruptSnapshot("bad magic or unsupported version")
-            (count,) = struct.unpack(">I", _read_exact(handle, 4))
-            if count > 64:
-                raise CorruptSnapshot(f"implausible section count {count}")
-            sections: Dict[str, bytes] = {}
-            for _ in range(count):
-                (name_len,) = struct.unpack(">H", _read_exact(handle, 2))
-                name = _read_exact(handle, name_len).decode("utf-8")
-                (size,) = struct.unpack(">Q", _read_exact(handle, 8))
-                (crc,) = struct.unpack(">I", _read_exact(handle, 4))
-                payload = _read_exact(handle, size)
-                if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                    raise CorruptSnapshot(f"CRC mismatch in section {name!r}")
-                sections[name] = payload
+    def _load(self, name: str) -> RestoredSnapshot:
+        frame = io.BytesIO(self._blobs[name])
+        if _read_exact(frame, len(MAGIC)) != MAGIC:
+            raise CorruptSnapshot("bad magic or unsupported version")
+        (count,) = struct.unpack(">I", _read_exact(frame, 4))
+        if count > 64:
+            raise CorruptSnapshot(f"implausible section count {count}")
+        sections: Dict[str, bytes] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack(">H", _read_exact(frame, 2))
+            key = _read_exact(frame, name_len).decode("utf-8")
+            (size,) = struct.unpack(">Q", _read_exact(frame, 8))
+            (crc,) = struct.unpack(">I", _read_exact(frame, 4))
+            payload = _read_exact(frame, size)
+            if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+                raise CorruptSnapshot(f"CRC mismatch in section {key!r}")
+            sections[key] = payload
         if "checkpoint" not in sections:
             raise CorruptSnapshot("missing checkpoint section")
         try:
@@ -210,7 +261,8 @@ class CheckpointStore:
         if not isinstance(checkpoint, Checkpoint):
             raise CorruptSnapshot("checkpoint section is not a Checkpoint")
         return RestoredSnapshot(
-            checkpoint=checkpoint, metrics=metrics, path=path, skipped=[]
+            checkpoint=checkpoint, metrics=metrics, path=self._path(name),
+            skipped=[],
         )
 
     def load_latest(
@@ -220,61 +272,49 @@ class CheckpointStore:
     ) -> Optional[RestoredSnapshot]:
         """Newest snapshot that validates, or None (never raises).
 
-        Walks newest → oldest; every corrupt/truncated/unreadable file
-        is skipped (and recorded in ``RestoredSnapshot.skipped``) — the
-        recovery policy's final fallback, recompute-from-scratch, is
-        signalled by returning None.
+        Walks newest → oldest; every corrupt/truncated/unreadable
+        snapshot is skipped (and recorded in ``RestoredSnapshot.skipped``)
+        — the recovery policy's final fallback, recompute-from-scratch,
+        is signalled by returning None.
 
-        ``max_superstep`` bounds the search: files at a later superstep
-        (or with an unparsable name) are ignored, not merely skipped.
-        ``owned_only`` restricts the walk to files this instance wrote
-        or adopted.  In-run recovery uses both, so stale files left in
-        the directory by an earlier run can neither leap recovery
-        *forward* past the failure point nor shadow the current run's
-        own snapshots; ``resume_from`` reads unrestricted.
+        ``max_superstep`` bounds the search: snapshots at a later
+        superstep (or files with an unparsable name) are ignored, not
+        merely skipped.  ``owned_only`` restricts the walk to snapshots
+        this instance wrote or adopted.  In-run recovery uses both, so
+        stale files left in the directory by an earlier run can neither
+        leap recovery *forward* past the failure point nor shadow the
+        current run's own snapshots; ``resume_from`` reads unrestricted.
         """
         skipped: List[str] = []
-        for path in reversed(self.files()):
-            at = self._superstep_of(path)
-            if max_superstep is not None:
-                if at is None or at > max_superstep:
-                    continue
-            if owned_only and (at is None or self._owned.get(at) != path):
-                continue
+        for name in self._newest_first(max_superstep, owned_only):
             try:
-                snapshot = self._load_file(path)
+                snapshot = self._load(name)
             except (CorruptSnapshot, OSError) as exc:
-                skipped.append(f"{path.name}: {exc}")
+                skipped.append(f"{name}: {exc}")
                 continue
             snapshot.skipped = skipped
             return snapshot
         return None
 
     # Fault-injection hook --------------------------------------------
-    def corrupt_latest(self, owned_only: bool = False) -> Optional[Path]:
-        """Flip payload bytes of the newest *valid* file (chaos testing).
+    def corrupt_latest(self, owned_only: bool = False) -> Optional[int]:
+        """Flip payload bytes of the newest *valid* snapshot (chaos testing).
 
-        Mirrors :meth:`CheckpointLog.corrupt_latest` so the in-memory
-        and durable views of a ``checkpoint_corrupt`` fault agree on
-        which snapshot survives; the engine passes ``owned_only`` so a
-        chaos fault corrupts the current run's newest snapshot, never a
-        stale bystander file.
+        Returns the superstep it hit, or None.  The engine passes
+        ``owned_only`` so a chaos fault corrupts the current run's
+        newest snapshot, never a stale bystander file.
         """
-        for path in reversed(self.files()):
-            if owned_only:
-                at = self._superstep_of(path)
-                if at is None or self._owned.get(at) != path:
-                    continue
+        for name in self._newest_first(None, owned_only):
             try:
-                self._load_file(path)
+                self._load(name)
             except (CorruptSnapshot, OSError):
                 continue  # already corrupt; hit the previous valid one
-            data = bytearray(path.read_bytes())
+            data = bytearray(self._blobs[name])
             # corrupt mid-payload, past the header, so the CRC check —
             # not the frame parser — is what catches it.
             pivot = max(len(MAGIC) + 4, len(data) // 2)
             for offset in range(pivot, min(pivot + 8, len(data))):
                 data[offset] ^= 0xFF
-            path.write_bytes(bytes(data))
-            return path
+            self._blobs[name] = bytes(data)
+            return _superstep_of(name)
         return None

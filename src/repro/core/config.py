@@ -299,18 +299,10 @@ class JobConfig:
     #: in the coordinator's memory only.  The modeled write cost is
     #: identical either way.
     checkpoint_dir: Optional[str] = None
-    #: keep-last-K retention for snapshots (durable files and the
-    #: in-memory log); older snapshots are dropped.
-    checkpoint_keep: int = 2
     #: resume a previously killed job from the newest valid snapshot in
     #: this directory (implies durable checkpointing into it unless
     #: ``checkpoint_dir`` points elsewhere).
     resume_from: Optional[str] = None
-    #: real (wall-clock) seconds the coordinator waits on a pool child's
-    #: pipe before declaring it hung and re-forking the pool
-    #: (:mod:`repro.core.modes.parallel`).  Purely operational — never
-    #: part of the modeled experiment.
-    pool_round_timeout_seconds: float = 300.0
     #: observability (``repro.obs``): ``None``/``False`` — tracing off
     #: (the job shares the zero-overhead null tracer); ``True`` — record
     #: to an in-memory ring buffer, readable via ``JobResult.trace``; a
@@ -383,16 +375,6 @@ class JobConfig:
             raise ValueError(
                 f"restart_backoff_seconds must be >= 0, got "
                 f"{self.restart_backoff_seconds!r}"
-            )
-        if not isinstance(self.checkpoint_keep, int) or self.checkpoint_keep < 1:
-            raise ValueError(
-                f"checkpoint_keep must be an integer >= 1, got "
-                f"{self.checkpoint_keep!r}"
-            )
-        if not self.pool_round_timeout_seconds > 0:
-            raise ValueError(
-                f"pool_round_timeout_seconds must be > 0, got "
-                f"{self.pool_round_timeout_seconds!r}"
             )
 
     # Convenience -------------------------------------------------------

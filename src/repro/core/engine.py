@@ -41,11 +41,8 @@ from repro.core.modes.reference import run_superstep_reference
 from repro.core.modes.vectorized import run_superstep_vectorized
 from repro.core.runtime import Runtime
 from repro.core.switching import FixedController, HybridController
-from repro.cluster.checkpoint import (
-    CheckpointLog,
-    restore_checkpoint,
-    take_checkpoint,
-)
+from repro.cluster.checkpoint import restore_checkpoint, take_checkpoint
+from repro.cluster.checkpoint_store import CheckpointStore
 from repro.cluster.fault import FaultInjector, WorkerFailure
 from repro.obs.events import CAT_ENGINE
 
@@ -129,34 +126,24 @@ def run_job(
     restarts = 0
     start_superstep = 0
     prev_mode: Optional[str] = None
-    ckpt_log = CheckpointLog(keep_last=config.checkpoint_keep)
-    store = None
-    store_dir = config.checkpoint_dir or config.resume_from
-    if store_dir is not None:
-        from repro.cluster.checkpoint_store import CheckpointStore
-
-        store = CheckpointStore(store_dir, keep_last=config.checkpoint_keep)
+    # in memory unless a directory is set (resume_from implies one).
+    snapshots = CheckpointStore(config.checkpoint_dir or config.resume_from)
 
     if config.resume_from is not None:
-        from repro.cluster.checkpoint_store import CheckpointStore
-
         resume_store = (
-            store
+            snapshots
             if config.checkpoint_dir in (None, config.resume_from)
-            else CheckpointStore(
-                config.resume_from, keep_last=config.checkpoint_keep
-            )
+            else CheckpointStore(config.resume_from)
         )
         snapshot = resume_store.load_latest()
         if snapshot is not None:
             checkpoint = snapshot.checkpoint
             controller = restore_checkpoint(rt, checkpoint)
-            ckpt_log.add(checkpoint)
-            if resume_store is store:
+            if resume_store is snapshots:
                 # the resumed-from snapshot joins this run's lineage so
                 # a failure before the first new save can fall back to
                 # it through the owned-only recovery path.
-                store.adopt(snapshot.path)
+                snapshots.adopt(snapshot.path)
             if snapshot.metrics is not None:
                 # continue the original run's metrics wholesale; only
                 # the fields owned by *this* process are re-stamped.
@@ -179,7 +166,7 @@ def run_job(
         while True:
             try:
                 _iterate(rt, controller, metrics, injector, start_superstep,
-                         prev_mode, ckpt_log, store)
+                         prev_mode, snapshots)
                 break
             except WorkerFailure as failure:
                 # the pool's processes hold pre-failure state; drop them
@@ -195,25 +182,16 @@ def run_job(
                         worker=failure.worker,
                         args={"restarts": restarts, "kind": failure.kind},
                     )
-                # pick the newest valid snapshot: the durable store when
-                # one is configured (real CRC validation, corrupt files
-                # skipped), else the in-memory log.  A checkpoint_corrupt
-                # fault invalidates both views of the same snapshot, so
-                # the two sources always agree on the fallback.  The
-                # durable search is owned-only and bounded by the failed
-                # superstep: stale files a previous run left in the
-                # directory can neither leap recovery forward past the
-                # failure nor shadow this run's own snapshots.
-                checkpoint = None
-                if store is not None:
-                    durable = store.load_latest(
-                        max_superstep=failure.superstep - 1,
-                        owned_only=True,
-                    )
-                    if durable is not None:
-                        checkpoint = durable.checkpoint
-                else:
-                    checkpoint = ckpt_log.best()
+                # pick the newest snapshot that passes the CRC check;
+                # corrupt ones are skipped.  The search is owned-only
+                # and bounded by the failed superstep: stale files a
+                # previous run left in the directory can neither leap
+                # recovery forward past the failure nor shadow this
+                # run's own snapshots.
+                restored = snapshots.load_latest(
+                    max_superstep=failure.superstep - 1, owned_only=True,
+                )
+                checkpoint = restored.checkpoint if restored else None
                 resume_after = checkpoint.superstep if checkpoint else 0
                 downtime = (
                     config.restart_backoff_seconds * (2 ** (restarts - 1))
@@ -321,13 +299,12 @@ def _inject_faults(
     injector: FaultInjector,
     metrics: JobMetrics,
     superstep: int,
-    ckpt_log: CheckpointLog,
-    store: Optional[Any] = None,
+    snapshots: CheckpointStore,
 ) -> tuple:
     """Evaluate the schedule at this superstep attempt and act on it.
 
     Returns ``(straggler_factors, checkpoint_write_fails)``; checkpoint
-    corruption is applied to ``ckpt_log``/``store`` immediately, and
+    corruption is applied to ``snapshots`` immediately, and
     crash-class faults abort the attempt by raising
     :class:`WorkerFailure` *after* every fault fired this superstep is
     recorded and applied — so e.g. a checkpoint corruption scheduled
@@ -375,9 +352,7 @@ def _inject_faults(
                     worker=fault.worker,
                     args={"kind": fault.kind, "source": fault.source},
                 )
-            corrupted = ckpt_log.corrupt_latest()
-            if store is not None:
-                store.corrupt_latest(owned_only=True)
+            corrupted = snapshots.corrupt_latest(owned_only=True)
             if tracer.enabled and corrupted is not None:
                 tracer.instant(
                     "checkpoint_corrupted", cat=CAT_ENGINE,
@@ -427,24 +402,19 @@ def _iterate(
     controller: Any,
     metrics: JobMetrics,
     injector: FaultInjector,
-    start_superstep: int = 0,
-    prev_mode: Optional[str] = None,
-    ckpt_log: Optional[CheckpointLog] = None,
-    store: Optional[Any] = None,
+    start_superstep: int,
+    prev_mode: Optional[str],
+    snapshots: CheckpointStore,
 ) -> None:
     """The superstep loop, up to convergence or the superstep budget.
 
     ``start_superstep``/``prev_mode`` support resuming from a checkpoint;
-    ``ckpt_log`` (the in-memory keep-last-K snapshot log) is updated in
-    place whenever a snapshot is taken, so the recovery path in
-    :func:`run_job` can reach the newest ones even though the loop exits
-    via an exception; ``store`` is the optional durable
-    :class:`~repro.cluster.checkpoint_store.CheckpointStore`.
+    every snapshot taken goes into ``snapshots`` in place, so the
+    recovery path in :func:`run_job` can reach the newest ones even
+    though the loop exits via an exception.
     """
     config = rt.config
     tracer = rt.tracer
-    if ckpt_log is None:
-        ckpt_log = CheckpointLog(keep_last=config.checkpoint_keep)
     if config.executor == "reference":
         superstep_fn = run_superstep_reference
     elif rt.active_parallelism > 1:
@@ -461,7 +431,7 @@ def _iterate(
     while superstep < rt.max_supersteps:
         superstep += 1
         stragglers, ckpt_write_fails = _inject_faults(
-            rt, injector, metrics, superstep, ckpt_log, store
+            rt, injector, metrics, superstep, snapshots
         )
         mode = controller.mode_for(superstep)
         if mode == "pull":
@@ -529,16 +499,15 @@ def _iterate(
                         args={"nbytes": checkpoint.nbytes},
                     )
             else:
-                ckpt_log.add(checkpoint)
                 metrics.checkpoints.append(
                     (superstep, checkpoint.nbytes, write_seconds)
                 )
-                if store is not None:
-                    # metrics are bundled so resume_from can continue
-                    # the original run's records seamlessly.  Modeled
-                    # cost is charged above regardless — durability is
-                    # operational, never part of the experiment.
-                    store.save(checkpoint, metrics)
+                # files bundle the metrics so resume_from can continue
+                # the original run's records seamlessly.  Modeled cost
+                # is charged above regardless — where the snapshot lives
+                # is operational, never part of the experiment.
+                durable = snapshots.directory is not None
+                snapshots.save(checkpoint, metrics if durable else None)
             tracer.advance(write_seconds)
 
 

@@ -58,6 +58,11 @@ __all__ = [
     "kill_pool_worker",
 ]
 
+#: real (wall-clock) seconds the coordinator waits on a child's pipe
+#: before declaring it hung and re-forking the pool.  Purely operational
+#: — never part of the modeled experiment.
+ROUND_TIMEOUT_SECONDS = 300.0
+
 
 def parallel_fallback_reason(rt) -> Optional[str]:
     """Why this job cannot run parallel, or None when it can.
@@ -159,7 +164,7 @@ class _ParallelPool:
     engine calls ``Runtime.shutdown_pool``.
 
     Failure policy (see ``docs/RESILIENCE.md``): every pipe read is
-    bounded by ``JobConfig.pool_round_timeout_seconds`` and paired with
+    bounded by :data:`ROUND_TIMEOUT_SECONDS` and paired with
     a ``Process.is_alive()`` liveness check.  A dead or hung child
     fails the round; :meth:`run_round` then kills the whole generation
     of children, re-forks a fresh one from current coordinator state,
@@ -180,7 +185,6 @@ class _ParallelPool:
             size = base + (1 if i < extra else 0)
             self.shards.append(list(range(start, start + size)))
             start += size
-        self._timeout = rt.config.pool_round_timeout_seconds
         self._segments: List[Any] = []
         self._restore_csr: Optional[Tuple[Any, Any]] = None
         self._setup_shared(rt)
@@ -314,7 +318,7 @@ class _ParallelPool:
         replies: List[Any] = []
         busy: List[float] = []
         for index, conn in enumerate(self.conns):
-            deadline = start + self._timeout
+            deadline = start + ROUND_TIMEOUT_SECONDS
             while not conn.poll(min(1.0, max(0.0, deadline - perf_counter()))):
                 if not self.procs[index].is_alive():
                     raise _PoolRoundError(
@@ -326,7 +330,7 @@ class _ParallelPool:
                     raise _PoolRoundError(
                         index,
                         f"child hung during the gather "
-                        f"(> {self._timeout}s, still alive)",
+                        f"(> {ROUND_TIMEOUT_SECONDS}s, still alive)",
                     )
             try:
                 status, payload, wall = conn.recv()

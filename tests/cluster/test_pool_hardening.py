@@ -106,10 +106,12 @@ class TestReforkRetry:
         assert multiprocessing.active_children() == []
         assert _shm_segments() <= before
 
-    def test_hung_child_times_out_and_is_retried(self, harmed_pool):
+    def test_hung_child_times_out_and_is_retried(
+        self, harmed_pool, monkeypatch
+    ):
+        monkeypatch.setattr(parallel_mod, "ROUND_TIMEOUT_SECONDS", 1.0)
         cfg = JobConfig(mode="bpull", num_workers=4, executor="vectorized",
-                        message_buffer_per_worker=100, max_supersteps=4,
-                        pool_round_timeout_seconds=1.0)
+                        message_buffer_per_worker=100, max_supersteps=4)
         expected = _dump(run_job(_graph(), PageRank(), cfg))
         harmed_pool["armed"] = signal.SIGSTOP
         result = run_job(_graph(), PageRank(), cfg.but(parallelism=2))
