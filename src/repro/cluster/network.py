@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.obs.events import CAT_NET
 from repro.obs.tracer import NULL_TRACER
@@ -107,6 +107,27 @@ class SimulatedNetwork:
         self._flows[(src, dst)] = (
             self._flows.get((src, dst), 0) + self._request_bytes
         )
+
+    def add_traffic(
+        self,
+        requests: int,
+        units: int,
+        flows: Iterable[Tuple[Tuple[int, int], int]],
+    ) -> None:
+        """Bulk form of :meth:`send_request` and :meth:`transfer`.
+
+        Adds *requests* pull requests, *units* transfer units and each
+        ``((src, dst), nbytes)`` of *flows* (remote flows only).  A flow
+        already open this superstep keeps its place; new ones are opened
+        in the order given, which must be the order the equivalent
+        per-call sequence would first touch them —
+        :meth:`end_superstep` folds float seconds in flow order.
+        """
+        self._requests += requests
+        self._units += units
+        open_flows = self._flows
+        for key, nbytes in flows:
+            open_flows[key] = open_flows.get(key, 0) + nbytes
 
     # ------------------------------------------------------------------
     # recovery support

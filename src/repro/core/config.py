@@ -274,9 +274,10 @@ class JobConfig:
     executor: str = "batched"
     #: number of OS processes running the Pull-Respond scans of
     #: the vectorized tier's b-pull gathers (:mod:`repro.core.modes.parallel`)
-    #: on a persistent process pool; the coordinator replays the
-    #: results in canonical order, so metrics stay byte-identical to
-    #: ``parallelism=1``.  Values above ``num_workers`` are clamped;
+    #: on a persistent process pool; the coordinator accounts for the
+    #: results as the in-process gather does, so metrics stay
+    #: byte-identical to ``parallelism=1``.  Values above
+    #: ``num_workers`` are clamped;
     #: every other job shape (batched/reference executor, pure push,
     #: a vectorized request that fell back, platforms without
     #: ``fork``/``shared_memory``) runs in process with the reason
@@ -337,6 +338,11 @@ class JobConfig:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value!r}")
+        if self.sending_threshold_bytes < 1:
+            raise ValueError(
+                f"sending_threshold_bytes must be >= 1, got "
+                f"{self.sending_threshold_bytes!r}"
+            )
         vblocks = self.vblocks_per_worker
         if vblocks is not None and vblocks < 1:
             raise ValueError(f"vblocks_per_worker must be >= 1, got {vblocks!r}")

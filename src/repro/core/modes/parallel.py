@@ -18,13 +18,17 @@ byte-identical to ``parallelism=1``:
   ``multiprocessing.shared_memory`` segments, so the children read the
   values the coordinator's Phase 2 wrote without any per-superstep
   pickling;
-* children return each responder's scan (per-Vblock answer counts,
-  scan stats, the hit vertices and their partial combines) and their
-  disk deltas; the coordinator hands the scans to
-  :func:`~repro.core.modes.vectorized.replay_scans`, the same replay of
-  Algorithm 1's request loop and responder-ordered fold the in-process
-  gather runs, so the network's flow order, both buffer peaks and the
-  float fold match it exactly.
+* each child keeps its responders' scan plans
+  (:class:`~repro.core.modes.vectorized._ScanPlan`) across rounds and
+  rebuilds them when the sending set changes; a re-forked child starts
+  without plans and rebuilds them;
+* children return each responder's scan (per-Vblock count rows, scan
+  stats, the hit vertices and their partial combines) and their disk
+  deltas; the coordinator hands the scans to
+  :func:`~repro.core.modes.vectorized.replay_scans`, the same
+  closed-form accounting of Algorithm 1 and responder-ordered fold the
+  in-process gather runs, so the network's flow order, both buffer
+  peaks and the float fold match it exactly.
 
 Every round is a pure read of coordinator state, so a round that loses a
 child is retried on a fresh fork with nothing to restore.
@@ -447,7 +451,7 @@ def _parallel_gather_vectorized(
 
     Children scan their owned responders' edge streams (the scans are
     independent: they read pre-superstep values and flags); the
-    coordinator replays Algorithm 1 and folds the partials with
+    coordinator accounts for Algorithm 1 and folds the partials with
     :func:`~repro.core.modes.vectorized.replay_scans`, exactly as
     ``_bpull_gather_vectorized`` does.
     """
@@ -484,8 +488,8 @@ def _emit_pool_spans(
     phenomenon being observed); they are drawn at the superstep's
     modeled start so the tracks line up with the modeled spans: one
     ``process_busy`` + ``process_barrier`` span per pool process and a
-    ``merge`` span for the coordinator's replay.  Metrics are untouched
-    — traced parallel runs stay byte-identical.
+    ``merge`` span for the coordinator's accounting and fold.  Metrics
+    are untouched — traced parallel runs stay byte-identical.
     """
     tracer = rt.tracer
     if not tracer.enabled:

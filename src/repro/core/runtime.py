@@ -140,9 +140,13 @@ class Runtime:
         self.resp_next: FlagBitset = FlagBitset(0)
         #: vertex id -> owning worker, precomputed so the message-routing
         #: hot path pays a C-level list index instead of a method call.
-        self.owner_of: List[int] = [
-            self.partition.owner(v) for v in range(graph.num_vertices)
-        ]
+        #: Filled one worker's vertex range (or stride) at a time.
+        self.owner_of: List[int] = [0] * graph.num_vertices
+        for worker in range(config.num_workers):
+            span = self.partition.vertices_of(worker)
+            self.owner_of[span.start:span.stop:span.step] = (
+                [worker] * len(span)
+            )
         self.load_metrics = LoadMetrics()
         self._in_degree_cache: Optional[List[int]] = None
         #: reusable executor containers (inbox / staging buffers), keyed

@@ -36,8 +36,9 @@ name                  kind     cat         meaning
                                            shard of a gather (wall clock)
 ``process_barrier``   span     parallel    that process waiting for the
                                            round's slowest sibling
-``merge``             span     parallel    the coordinator replaying the
-                                           gather's results (wall clock)
+``merge``             span     parallel    the coordinator accounting for
+                                           and folding the gather's
+                                           results (wall clock)
 ====================  =======  ==========  =================================
 """
 

@@ -53,6 +53,17 @@ class TestSimulatedNetwork:
         stats = net.end_superstep()
         assert stats.bytes_out[0] == 120
         assert stats.packages == 2  # one flow of 120 bytes
+        # the bulk entry adds to open flows in place and opens new ones
+        # in the order given, after them
+        net.begin_superstep(2)
+        net.transfer(2, 1, 10, units=1)
+        net.send_request(0, 2)
+        net.add_traffic(5, 7, [((1, 0), 30), ((0, 2), 4), ((2, 0), 9)])
+        assert list(net._flows.items()) == [
+            ((2, 1), 10), ((0, 2), 12), ((1, 0), 30), ((2, 0), 9),
+        ]
+        stats = net.end_superstep()
+        assert (stats.requests, stats.transfer_units) == (6, 8)
 
     def test_worker_seconds_include_package_setup(self):
         net = make(threshold=100)

@@ -54,12 +54,15 @@ class TestJobConfig:
             ("adjacency_block_vertices", 0),
             ("adjacency_block_vertices", -5),
             ("switching_deadband", -0.1),
+            ("sending_threshold_bytes", 0),
+            ("sending_threshold_bytes", -4096),
         ):
             with pytest.raises(ValueError, match=field):
                 JobConfig(**{field: bad})
         assert JobConfig(max_supersteps=1).max_supersteps == 1
         assert JobConfig(adjacency_block_vertices=1).adjacency_block_vertices == 1
         assert JobConfig(switching_deadband=0.0).switching_deadband == 0.0
+        assert JobConfig(sending_threshold_bytes=1).sending_threshold_bytes == 1
 
     def test_memory_sufficient(self):
         assert JobConfig(

@@ -103,6 +103,17 @@ class TestRuntimeSetup:
         assert len(rt.values) == g.num_vertices
         assert not any(rt.resp_prev)
         assert not any(rt.resp_next)
+        # owner_of agrees with the partition: uneven splits and more
+        # workers than vertices, range and hash
+        for graph, workers in ((g, 2), (g, 7), (Graph(3, [(0, 1)]), 5)):
+            for partition in ("range", "hash"):
+                rt = Runtime(graph, PageRank(), JobConfig(
+                    num_workers=workers, partition=partition,
+                ))
+                assert rt.owner_of == [
+                    rt.partition.owner(v)
+                    for v in range(graph.num_vertices)
+                ]
 
     def test_load_metrics_nonzero_when_on_disk(self):
         rt = Runtime(small_graph(), PageRank(), JobConfig(mode="push",
