@@ -14,7 +14,8 @@ iteration state —
 
 and charges the sequential write of values + pending messages as modeled
 checkpoint cost.  On a failure the engine restores the latest snapshot
-and resumes from the following superstep instead of superstep 1.
+and resumes from the following superstep instead of superstep 1; with
+no snapshot it restores superstep 0 through the same function.
 
 The message stores and the Switcher are pickled once, when the snapshot
 is taken, so a :class:`Checkpoint` never aliases live objects; every
@@ -30,8 +31,10 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.flags import FlagBitset
 from repro.core.runtime import Runtime
+from repro.core.switching import make_controller
 from repro.obs.events import CAT_ENGINE
 from repro.storage.records import RecordSizes
+from repro.storage.vertex_cache import LRUVertexCache
 
 __all__ = [
     "Checkpoint",
@@ -107,42 +110,57 @@ def take_checkpoint(
     return checkpoint
 
 
-def restore_checkpoint(rt: Runtime, checkpoint: Checkpoint) -> Any:
+def restore_checkpoint(rt: Runtime, checkpoint: Optional[Checkpoint]) -> Any:
     """Reset the runtime to *checkpoint*; returns the restored controller.
 
-    Each call unpickles fresh stores and a fresh controller, so the same
+    ``None`` restores superstep 0 — the paper's recompute-from-scratch:
+    initial values, no flags, no aggregator totals, empty message stores
+    and a fresh controller.  Both policies take this one path.  Each
+    call unpickles fresh stores and a fresh controller, so the same
     checkpoint can serve repeated failures.
     """
+    superstep = 0 if checkpoint is None else checkpoint.superstep
     tracer = rt.tracer
     if tracer.enabled:
         tracer.instant(
-            "restore", cat=CAT_ENGINE, superstep=checkpoint.superstep,
-            args={"nbytes": checkpoint.nbytes},
+            "restore", cat=CAT_ENGINE, superstep=superstep,
+            args={"nbytes": 0 if checkpoint is None else checkpoint.nbytes},
         )
-    rt.values = list(checkpoint.values)
-    # the vectorized executor caches dense views of rt.values and the
-    # message stores — both are rebound below, so the cache is stale.
-    rt.scratch.pop("vectorized", None)
-    rt.resp_prev = FlagBitset.from_iterable(checkpoint.resp_prev)
-    rt.resp_next = FlagBitset(rt.graph.num_vertices)
-    # the supersteps after the snapshot are discarded and re-executed;
-    # their traffic samples must not survive into the timeline.
-    rt.network.truncate_timeline(checkpoint.superstep)
-    # aggregator totals visible to the superstep after the snapshot —
-    # without this, aggregate-reading programs would resume against the
-    # failure-time totals instead of the checkpoint-time ones.
-    rt.ctx.aggregates = dict(checkpoint.aggregates)
-    stores, controller = pickle.loads(checkpoint.state)
+    if checkpoint is None:
+        rt._init_state()
+        stores: Dict[int, Any] = {}
+        controller = make_controller(rt)
+    else:
+        rt.values = list(checkpoint.values)
+        rt.resp_prev = FlagBitset.from_iterable(checkpoint.resp_prev)
+        rt.resp_next = FlagBitset(rt.graph.num_vertices)
+        # aggregator totals visible to the superstep after the snapshot,
+        # not the failure-time ones.
+        rt.ctx.aggregates = dict(checkpoint.aggregates)
+        stores, controller = pickle.loads(checkpoint.state)
+    # executor scratch (inbox buffers, the vectorized tier's dense views
+    # of rt.values and the stores) refers to the discarded objects.
+    rt.scratch.clear()
+    # the supersteps after the restored one are discarded and
+    # re-executed; their traffic samples must not survive.
+    rt.network.truncate_timeline(superstep)
     for worker in rt.workers:
-        if worker.message_store is None:
-            continue
-        restored = stores.get(worker.worker_id)
-        if restored is None:
-            worker.message_store.load()  # drain whatever is pending
-        else:
-            worker.message_store = restored
-            # the unpickled store carries a private clone of the worker's
-            # disk; rebind so post-restore spills charge the live one.
-            if hasattr(restored, "_disk"):
-                restored._disk = worker.disk
+        if worker.message_store is not None:
+            restored = stores.get(worker.worker_id)
+            if restored is None:
+                worker.message_store.load()  # drain whatever is pending
+            else:
+                worker.message_store = restored
+                # the unpickled store carries a private clone of the
+                # worker's disk; rebind so post-restore spills charge
+                # the live one.
+                if hasattr(restored, "_disk"):
+                    restored._disk = worker.disk
+        if worker.vertex_cache is not None:
+            # a restarted worker's memory is gone: the cache starts cold.
+            worker.vertex_cache = LRUVertexCache(
+                capacity=worker.vertex_cache.capacity,
+                sizes=rt.config.sizes,
+                disk=worker.disk,
+            )
     return controller

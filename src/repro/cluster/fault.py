@@ -125,15 +125,3 @@ class FaultInjector:
                 ))
         self.fired.extend(fired)
         return fired
-
-    def check(self, superstep: int) -> None:
-        """Historical API: raise on the first crash-class fault firing.
-
-        Kept for callers that only care about abort-style faults; the
-        engine uses :meth:`fire` and dispatches every kind itself.
-        """
-        for fault in self.fire(superstep):
-            if fault.kind in ("crash", "kill"):
-                raise WorkerFailure(
-                    fault.worker, superstep, kind=fault.kind
-                )

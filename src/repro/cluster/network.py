@@ -132,17 +132,14 @@ class SimulatedNetwork:
     # ------------------------------------------------------------------
     # recovery support
     # ------------------------------------------------------------------
-    def clear_timeline(self) -> None:
-        """Drop every traffic sample (recompute-from-scratch recovery)."""
-        self.timeline.clear()
-
     def truncate_timeline(self, last_superstep: int) -> None:
         """Drop samples of supersteps after *last_superstep*.
 
         Called when the engine restores a checkpoint taken at
-        ``last_superstep``: the discarded supersteps will be re-executed
-        and would otherwise leave duplicate (stale) samples polluting the
-        Fig. 18-style traffic timeline.
+        ``last_superstep`` (0 to recompute from scratch): the discarded
+        supersteps will be re-executed and would otherwise leave
+        duplicate (stale) samples polluting the Fig. 18-style traffic
+        timeline.
         """
         self.timeline = [
             sample for sample in self.timeline

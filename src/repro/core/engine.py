@@ -40,7 +40,7 @@ from repro.core.modes.pull import run_pull_superstep
 from repro.core.modes.reference import run_superstep_reference
 from repro.core.modes.vectorized import run_superstep_vectorized
 from repro.core.runtime import Runtime
-from repro.core.switching import FixedController, HybridController
+from repro.core.switching import HybridController, make_controller
 from repro.cluster.checkpoint import restore_checkpoint, take_checkpoint
 from repro.cluster.checkpoint_store import CheckpointStore
 from repro.cluster.fault import FaultInjector, WorkerFailure
@@ -113,15 +113,7 @@ def run_job(
             "reason": rt.executor_fallback,
         }
 
-    if config.mode == "hybrid":
-        controller: Any = HybridController(
-            rt,
-            enabled=config.switching_enabled,
-            interval=config.switching_interval,
-            deadband=config.switching_deadband,
-        )
-    else:
-        controller = FixedController(config.mode)
+    controller = make_controller(rt)
 
     restarts = 0
     start_superstep = 0
@@ -187,73 +179,49 @@ def run_job(
                 # and bounded by the failed superstep: stale files a
                 # previous run left in the directory can neither leap
                 # recovery forward past the failure nor shadow this
-                # run's own snapshots.
+                # run's own snapshots.  None restores superstep 0: the
+                # paper's recompute-from-scratch.
                 restored = snapshots.load_latest(
                     max_superstep=failure.superstep - 1, owned_only=True,
                 )
                 checkpoint = restored.checkpoint if restored else None
                 resume_after = checkpoint.superstep if checkpoint else 0
+                policy = "checkpoint" if checkpoint else "scratch"
                 downtime = (
                     config.restart_backoff_seconds * (2 ** (restarts - 1))
+                )
+                rework_seconds = sum(
+                    s.elapsed_seconds
+                    for s in metrics.supersteps[resume_after:]
                 )
                 metrics.recoveries.append({
                     "restart": restarts,
                     "superstep": failure.superstep,
                     "worker": failure.worker,
                     "kind": failure.kind,
-                    "policy": "checkpoint" if checkpoint else "scratch",
+                    "policy": policy,
                     "resume_after": resume_after,
                     "rework_supersteps":
                         len(metrics.supersteps) - resume_after,
-                    "rework_seconds": sum(
-                        s.elapsed_seconds
-                        for s in metrics.supersteps[resume_after:]
-                    ),
+                    "rework_seconds": rework_seconds,
                     "downtime_seconds": downtime,
                 })
                 tracer.advance(downtime)
+                controller = restore_checkpoint(rt, checkpoint)
+                _rewind_metrics(metrics, resume_after)
+                start_superstep = resume_after
+                prev_mode = checkpoint.prev_mode if checkpoint else None
                 if checkpoint is not None:
-                    # lightweight recovery: resume after the snapshot
-                    controller = restore_checkpoint(rt, checkpoint)
-                    _rewind_metrics(metrics, checkpoint.superstep)
-                    start_superstep = checkpoint.superstep
-                    prev_mode = checkpoint.prev_mode
-                    metrics.recovered_from = checkpoint.superstep
-                    if tracer.enabled:
-                        tracer.instant(
-                            "restart", cat=CAT_ENGINE,
-                            superstep=checkpoint.superstep,
-                            args={"policy": "checkpoint",
-                                  "resume_after": checkpoint.superstep,
-                                  "restart": restarts,
-                                  "downtime_seconds": downtime,
-                                  "rework_seconds":
-                                      metrics.recoveries[-1]
-                                      ["rework_seconds"]},
-                        )
-                else:
-                    # the paper's policy: recompute from scratch
-                    rt.reset_for_restart()
-                    _reset_metrics(metrics)
-                    start_superstep = 0
-                    prev_mode = None
-                    if tracer.enabled:
-                        tracer.instant(
-                            "restart", cat=CAT_ENGINE,
-                            args={"policy": "scratch",
-                                  "restart": restarts,
-                                  "downtime_seconds": downtime,
-                                  "rework_seconds":
-                                      metrics.recoveries[-1]
-                                      ["rework_seconds"]},
-                        )
-                    if config.mode == "hybrid":
-                        controller = HybridController(
-                            rt,
-                            enabled=config.switching_enabled,
-                            interval=config.switching_interval,
-                            deadband=config.switching_deadband,
-                        )
+                    metrics.recovered_from = resume_after
+                if tracer.enabled:
+                    tracer.instant(
+                        "restart", cat=CAT_ENGINE, superstep=resume_after,
+                        args={"policy": policy,
+                              "resume_after": resume_after,
+                              "restart": restarts,
+                              "downtime_seconds": downtime,
+                              "rework_seconds": rework_seconds},
+                    )
     finally:
         rt.shutdown_pool()
     metrics.restarts = restarts
@@ -269,11 +237,12 @@ def run_job(
 
 
 def _rewind_metrics(metrics: JobMetrics, superstep: int) -> None:
-    """Drop per-superstep records past a restored checkpoint.
+    """Drop per-superstep records past the restored *superstep*.
 
     The re-executed supersteps append fresh entries; anything recorded
     after the snapshot — including checkpoints themselves — is stale
     and would double up (or misreport snapshots that no longer exist).
+    ``superstep=0`` (recompute from scratch) drops every record.
     """
     del metrics.supersteps[superstep:]
     del metrics.mode_trace[superstep:]
@@ -284,14 +253,6 @@ def _rewind_metrics(metrics: JobMetrics, superstep: int) -> None:
         entry for entry in metrics.checkpoint_failures
         if entry[0] <= superstep
     ]
-
-
-def _reset_metrics(metrics: JobMetrics) -> None:
-    """Recompute-from-scratch recovery: drop every per-superstep record."""
-    metrics.supersteps.clear()
-    metrics.mode_trace.clear()
-    metrics.checkpoints.clear()
-    metrics.checkpoint_failures.clear()
 
 
 def _inject_faults(

@@ -258,9 +258,9 @@ class _PullState:
 class _VecState:
     """All per-job dense state, cached in ``rt.scratch['vectorized']``.
 
-    Recovery paths invalidate the cache (``reset_for_restart`` clears
-    the scratch dict, ``restore_checkpoint`` pops this key) because they
-    rebind ``rt.values`` and replace the message stores.
+    Every restore (``restore_checkpoint``, also of superstep 0 for a
+    recompute from scratch) clears the scratch dict, dropping this cache,
+    because it rebinds ``rt.values`` and replaces the message stores.
     """
 
     def __init__(self, rt) -> None:

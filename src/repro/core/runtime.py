@@ -204,7 +204,7 @@ class Runtime:
         """Tear down the parallel worker pool, if one is running.
 
         Called by the engine on job completion and before every
-        recovery rewind (the pool's processes hold pre-failure state;
+        recovery restore (the pool's processes hold pre-failure state;
         the next parallel superstep re-forks from the restored
         coordinator).  No-op when no pool is active.
         """
@@ -247,35 +247,19 @@ class Runtime:
 
     # ------------------------------------------------------------------
     def _init_state(self) -> None:
+        """Superstep-0 state: initial values, no flags, no aggregates.
+
+        Built at construction; ``restore_checkpoint(rt, None)`` calls it
+        again to recompute from scratch.
+        """
         n = self.graph.num_vertices
         self.ctx.superstep = 0
+        self.ctx.aggregates = {}
         self.values = [
             self.program.initial_value(v, self.ctx) for v in range(n)
         ]
         self.resp_prev = FlagBitset(n)
         self.resp_next = FlagBitset(n)
-
-    def reset_for_restart(self) -> None:
-        """Recompute-from-scratch recovery: drop all iteration state."""
-        self._init_state()
-        # executor scratch (inbox buffers, cached dense state) refers to
-        # the discarded value/store objects — drop it wholesale.
-        self.scratch.clear()
-        # discard traffic samples of the thrown-away supersteps so the
-        # Fig. 18 timeline only reflects work that counts.
-        self.network.clear_timeline()
-        for worker in self.workers:
-            if worker.message_store is not None:
-                worker.message_store.load()  # drain without using the result
-            if worker.vertex_cache is not None:
-                self._reset_cache(worker)
-
-    def _reset_cache(self, worker: Worker) -> None:
-        worker.vertex_cache = LRUVertexCache(
-            capacity=worker.vertex_cache.capacity,
-            sizes=self.config.sizes,
-            disk=worker.disk,
-        )
 
     # ------------------------------------------------------------------
     # setup / loading

@@ -31,7 +31,7 @@ the job starts in b-pull below the bound and in push above it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro.core.metrics import SuperstepMetrics
 from repro.core.runtime import Runtime
@@ -45,6 +45,7 @@ __all__ = [
     "initial_mode",
     "HybridController",
     "FixedController",
+    "make_controller",
 ]
 
 _MB = 1024.0 * 1024.0
@@ -260,20 +261,29 @@ class HybridController:
         return rt.config.sizes.messages(spilled)
 
     def _responding_out_edges(self, rt: Runtime) -> int:
-        """Edges push would read, in edge units (block-granular)."""
-        total_bytes = 0
-        have_adjacency = False
-        for worker in rt.workers:
-            if worker.adjacency is not None:
-                have_adjacency = True
-                total_bytes += worker.adjacency.estimate_edge_bytes(
-                    rt.resp_next
-                )
-        if have_adjacency:
-            return total_bytes // rt.config.sizes.edge
-        graph = rt.graph
-        return sum(
-            graph.out_degree(v)
-            for v, flag in enumerate(rt.resp_next)
-            if flag
+        """Edges push would read, in edge units (block-granular).
+
+        Hybrid jobs always build adjacency stores, so every worker has one.
+        """
+        total_bytes = sum(
+            worker.adjacency.estimate_edge_bytes(rt.resp_next)
+            for worker in rt.workers
         )
+        return total_bytes // rt.config.sizes.edge
+
+
+def make_controller(rt: Runtime) -> Any:
+    """The job's mode controller at superstep 0.
+
+    Job start and recompute-from-scratch both begin here: the Switcher
+    for hybrid jobs, a :class:`FixedController` otherwise.
+    """
+    cfg = rt.config
+    if cfg.mode == "hybrid":
+        return HybridController(
+            rt,
+            enabled=cfg.switching_enabled,
+            interval=cfg.switching_interval,
+            deadband=cfg.switching_deadband,
+        )
+    return FixedController(cfg.mode)

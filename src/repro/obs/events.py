@@ -25,9 +25,11 @@ name                  kind     cat         meaning
 ``disk``              instant  disk        per-worker disk charge, by class
 ``net``               instant  net         per-worker network transfer
 ``checkpoint``        span     engine      snapshot write (modeled seconds)
-``restore``           instant  engine      checkpoint restored
+``restore``           instant  engine      checkpoint restored (superstep 0
+                                           when recomputing from scratch)
 ``fault``             instant  engine      injected worker failure
-``restart``           instant  engine      recovery started (args: policy)
+``restart``           instant  engine      recovery started (args: policy,
+                                           resume_after)
 ``switch_decision``   instant  switch      one Q_t evaluation with the
                                            Eq. 11 inputs and the planned
                                            mode

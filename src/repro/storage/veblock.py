@@ -118,7 +118,8 @@ class VBlockMeta:
 
     The paper's ``X_j`` also holds #svertices, total in-degree and total
     out-degree.  Nothing in the simulator reads them, so they are not
-    stored; :meth:`memory_bytes` still charges their 16 counter bytes.
+    stored; :meth:`VEBlockStore.metadata_memory_bytes` still charges
+    their 16 counter bytes.
     """
 
     block_id: int
@@ -130,10 +131,6 @@ class VBlockMeta:
     scan_aux_bytes: int = 0
     #: responding indicator, refreshed every superstep.
     res: bool = False
-
-    def memory_bytes(self, num_blocks: int) -> int:
-        """Metadata footprint: counters + one bit per block."""
-        return 16 + (num_blocks + 7) // 8
 
 
 class VEBlockStore:
@@ -186,6 +183,10 @@ class VEBlockStore:
         self._fragments_of_vertex: Dict[int, int] = {}
         self._num_fragments = 0
         self._num_edges = 0
+        #: every local ``X_j``: 16 counter bytes + one bit per block.
+        self._metadata_bytes = len(self._local_blocks) * (
+            16 + (layout.num_blocks + 7) // 8
+        )
         #: with ``as_arrays``, the local edge stream sorted by
         #: ``(dst_block, src_block)``: Eblocks in ``local_blocks`` order
         #: inside each destination block's run, fragments in svertex
@@ -368,8 +369,8 @@ class VEBlockStore:
         self._disk.write(self.load_write_bytes(), sequential=True)
 
     def metadata_memory_bytes(self) -> int:
-        num_blocks = self._layout.num_blocks
-        return sum(m.memory_bytes(num_blocks) for m in self.meta.values())
+        """Footprint of every local ``X_j``, fixed once built."""
+        return self._metadata_bytes
 
     # ------------------------------------------------------------------
     # superstep accesses

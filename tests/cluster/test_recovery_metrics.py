@@ -12,7 +12,7 @@ supersteps that actually survived:
 
 from repro.algorithms.pagerank import PageRank
 from repro.core.config import FaultPlan, JobConfig
-from repro.core.engine import _reset_metrics, _rewind_metrics, run_job
+from repro.core.engine import _rewind_metrics, run_job
 from repro.core.metrics import JobMetrics
 from repro.datasets.generators import random_graph
 
@@ -48,7 +48,7 @@ class TestRewindHelpers:
 
     def test_reset_clears_checkpoints(self):
         metrics = stale_metrics()
-        _reset_metrics(metrics)
+        _rewind_metrics(metrics, 0)  # recompute from scratch
         assert metrics.supersteps == []
         assert metrics.mode_trace == []
         assert metrics.checkpoints == []

@@ -1,9 +1,9 @@
 """Regression tests: recovery must not leave stale traffic samples.
 
-Before the fix, ``Runtime.reset_for_restart`` (recompute-from-scratch)
-and ``restore_checkpoint`` left the samples of the discarded supersteps
-in ``SimulatedNetwork.timeline``, so a recovered job reported phantom
-network traffic for supersteps that were re-executed.
+Before the fix, recompute-from-scratch and ``restore_checkpoint`` left
+the samples of the discarded supersteps in ``SimulatedNetwork.timeline``,
+so a recovered job reported phantom network traffic for supersteps that
+were re-executed.
 """
 
 from repro.algorithms.pagerank import PageRank
@@ -29,7 +29,7 @@ class TestTimelineMaintenance:
         net = make_net()
         sample_superstep(net, 1, 100)
         sample_superstep(net, 2, 200)
-        net.clear_timeline()
+        net.truncate_timeline(0)  # recompute from scratch
         assert net.timeline == []
 
     def test_truncate_timeline_keeps_committed_prefix(self):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.algorithms.lpa import LPA
 from repro.algorithms.pagerank import PageRank
+from repro.cluster.checkpoint import restore_checkpoint
 from repro.core.config import JobConfig
 from repro.core.graph import Graph, range_partition
 from repro.core.runtime import Runtime, choose_vblocks_per_worker
@@ -160,7 +161,9 @@ class TestRuntimeSetup:
         rt.values[0] = 123.0
         rt.resp_next[1] = True
         rt.workers[0].message_store.deposit(0, 1.0)
-        rt.reset_for_restart()
+        rt.ctx.aggregates = {"delta": 3.0}
+        restore_checkpoint(rt, None)  # recompute from scratch
         assert rt.values[0] == 0.0
         assert not any(rt.resp_next)
         assert rt.pending_messages() == 0
+        assert rt.ctx.aggregates == {}

@@ -15,6 +15,7 @@ import pytest
 from repro.algorithms.lpa import LPA
 from repro.algorithms.pagerank import PageRank
 from repro.algorithms.sssp import SSSP
+from repro.cluster.checkpoint import restore_checkpoint
 from repro.core.config import JobConfig
 from repro.core.engine import run_job
 from repro.core.flags import FlagBitset
@@ -236,7 +237,7 @@ class TestRecoveryInvalidation:
         rt.setup()
         rt.scratch["vectorized"] = object()
         rt.scratch["inbox"] = {}
-        rt.reset_for_restart()
+        restore_checkpoint(rt, None)  # recompute from scratch
         assert rt.scratch == {}
 
     def test_lazy_push_fanout_builds_once(self):
