@@ -8,7 +8,7 @@ Combiner applies.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.api import (
     ProgramContext,
@@ -114,6 +114,11 @@ class PageRank(VertexProgram):
 
     def initial_value(self, vid: int, ctx: ProgramContext) -> float:
         return 0.0
+
+    def initial_values(
+        self, num_vertices: int, ctx: ProgramContext
+    ) -> List[float]:
+        return [0.0] * num_vertices
 
     def aggregate(self, vid, old_value, new_value, ctx):
         if self.tolerance is None:

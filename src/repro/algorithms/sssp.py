@@ -9,7 +9,7 @@ switching opportunities (Fig. 14).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.api import (
     ProgramContext,
@@ -67,6 +67,11 @@ class SSSP(VertexProgram):
 
     def initial_value(self, vid: int, ctx: ProgramContext) -> float:
         return math.inf
+
+    def initial_values(
+        self, num_vertices: int, ctx: ProgramContext
+    ) -> List[float]:
+        return [math.inf] * num_vertices
 
     def initially_active(self, vid: int, ctx: ProgramContext) -> bool:
         return vid == self.source

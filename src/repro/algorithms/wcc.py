@@ -11,7 +11,7 @@ it on symmetrised graphs for true WCC.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.api import (
     ProgramContext,
@@ -51,6 +51,11 @@ class WCC(VertexProgram):
 
     def initial_value(self, vid: int, ctx: ProgramContext) -> int:
         return vid
+
+    def initial_values(
+        self, num_vertices: int, ctx: ProgramContext
+    ) -> List[int]:
+        return list(range(num_vertices))
 
     def update(
         self,

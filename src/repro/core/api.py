@@ -190,6 +190,19 @@ class VertexProgram(ABC):
     def initial_value(self, vid: int, ctx: ProgramContext) -> Any:
         """Value of vertex *vid* before superstep 1."""
 
+    def initial_values(
+        self, num_vertices: int, ctx: ProgramContext
+    ) -> List[Any]:
+        """Values of every vertex before superstep 1, as a new list.
+
+        The runtime builds its value array from this on every job start
+        and every recompute from scratch.  The default calls
+        :meth:`initial_value` once per vertex; programs with a constant
+        or id-valued start override it with one list operation, which
+        must agree with :meth:`initial_value` for every vertex.
+        """
+        return [self.initial_value(v, ctx) for v in range(num_vertices)]
+
     def initially_active(self, vid: int, ctx: ProgramContext) -> bool:
         """Whether *vid* runs update() in superstep 1 (default: all do)."""
         return True

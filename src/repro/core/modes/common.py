@@ -274,7 +274,11 @@ def phase2_for_worker(
     flow_append = [bucket.append for bucket in flows]
     msgs_get = msgs.get
     adjacency = worker.adjacency
-    read_out_edges = adjacency.read_out_edges if adjacency else None
+    charge_out_edges = adjacency.charge_out_edges if adjacency else None
+    graph = rt.graph
+    indptr = graph.indptr
+    indices = graph.indices
+    weights = graph.weights
     n_respond = 0
     raw_staged = 0
     edges_scanned = 0
@@ -295,25 +299,28 @@ def phase2_for_worker(
             for agg_key, agg_val in contribution.items():
                 aggregates[agg_key] = aggregates.get(agg_key, 0.0) + agg_val
         if pushing and respond:
-            if read_out_edges is None:
+            if charge_out_edges is None:
                 raise RuntimeError(
                     "push output requires an adjacency store"
                 )
-            edges, charged = read_out_edges(vid)
+            charged = charge_out_edges(vid)
             if charged:
                 edges_scanned += charged // edge_record
                 edge_bytes += charged
+            lo = indptr[vid]
+            hi = indptr[vid + 1]
             if fanout is not None:
-                if edges:
+                if hi > lo:
+                    # uniform: the first edge stands for the whole row
                     payload = message_value(
-                        vid, new_value, edges[0][0], edges[0][1], ctx
+                        vid, new_value, indices[lo], weights[lo], ctx
                     )
                     if payload is not None:
                         for dst_wid, dsts in fanout[vid]:
                             flow_append[dst_wid]((dsts, payload))
-                        raw_staged += len(edges)
+                        raw_staged += hi - lo
             else:
-                for dst, weight in edges:
+                for dst, weight in zip(indices[lo:hi], weights[lo:hi]):
                     payload = message_value(
                         vid, new_value, dst, weight, ctx
                     )
@@ -771,26 +778,30 @@ def collect_triple(
         # per-destination list, without materialising the list.
         cbuffer: Dict[int, Any] = {}
         if uniform:
-            for svertex, edges in fragments:
+            for fragment in fragments:
+                svertex = fragment[0]
                 payload = payload_of.get(svertex, _MISSING)
                 if payload is _MISSING:
                     payload = message_value(
                         svertex, values[svertex],
-                        edges[0][0], edges[0][1], ctx,
+                        fragment[1], fragment[2], ctx,
                     )
                     payload_of[svertex] = payload
                 if payload is None:
                     continue
-                for dst, _weight in edges:
+                for dst in fragment[1::2]:
                     if dst in cbuffer:
                         cbuffer[dst] = combine(cbuffer[dst], payload)
                     else:
                         cbuffer[dst] = payload
-                nvalues += len(edges)
+                nvalues += len(fragment) >> 1
         else:
-            for svertex, edges in fragments:
+            for fragment in fragments:
+                edges = iter(fragment)
+                svertex = next(edges)
                 svalue = values[svertex]
-                for dst, weight in edges:
+                # zip of one iterator with itself pairs (dst, weight)
+                for dst, weight in zip(edges, edges):
                     payload = message_value(
                         svertex, svalue, dst, weight, ctx
                     )
@@ -810,26 +821,29 @@ def collect_triple(
         )
     buffer: Dict[int, List[Any]] = {}
     if uniform:
-        for svertex, edges in fragments:
+        for fragment in fragments:
+            svertex = fragment[0]
             payload = payload_of.get(svertex, _MISSING)
             if payload is _MISSING:
                 payload = message_value(
                     svertex, values[svertex],
-                    edges[0][0], edges[0][1], ctx,
+                    fragment[1], fragment[2], ctx,
                 )
                 payload_of[svertex] = payload
             if payload is None:
                 continue
-            for dst, _weight in edges:
+            for dst in fragment[1::2]:
                 if dst in buffer:
                     buffer[dst].append(payload)
                 else:
                     buffer[dst] = [payload]
-            nvalues += len(edges)
+            nvalues += len(fragment) >> 1
     else:
-        for svertex, edges in fragments:
+        for fragment in fragments:
+            edges = iter(fragment)
+            svertex = next(edges)
             svalue = values[svertex]
-            for dst, weight in edges:
+            for dst, weight in zip(edges, edges):
                 payload = message_value(
                     svertex, svalue, dst, weight, ctx
                 )

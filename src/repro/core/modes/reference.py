@@ -48,6 +48,7 @@ def run_superstep_reference(
     cfg = rt.config
     sizes = cfg.sizes
     program = rt.program
+    graph = rt.graph
     rt.ctx.superstep = superstep
     rt.network.begin_superstep(superstep)
     metrics = SuperstepMetrics(superstep=superstep, mode=mode_label)
@@ -149,13 +150,17 @@ def run_superstep_reference(
                     raise RuntimeError(
                         "push output requires an adjacency store"
                     )
-                edges, charged = worker.adjacency.read_out_edges(vid)
+                charged = worker.adjacency.charge_out_edges(vid)
                 scanned = charged // sizes.edge
                 edges_of[wid] += scanned
                 metrics.io_edges_push += charged
                 metrics.edges_scanned += scanned
                 value = rt.values[vid]
-                for dst, weight in edges:
+                lo = graph.indptr[vid]
+                hi = graph.indptr[vid + 1]
+                for dst, weight in zip(
+                    graph.indices[lo:hi], graph.weights[lo:hi]
+                ):
                     payload = program.message_value(
                         vid, value, dst, weight, rt.ctx
                     )

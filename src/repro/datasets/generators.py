@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from repro.core.graph import Graph
+from repro.core.graph import Graph, GraphBuilder
 
 __all__ = ["social_graph", "web_graph", "random_graph", "ring_graph"]
 
@@ -80,7 +80,7 @@ def social_graph(
     cap = max(2, core_n // 4)
     degrees = [min(cap, max(1, round(d * scale))) for d in raw]
 
-    graph = Graph(num_vertices, name=name)
+    builder = GraphBuilder(num_vertices)
     window = max(2, core_n // 50)
     # endpoint pool: every core vertex once, then grows with chosen targets
     pool: List[int] = list(range(core_n))
@@ -96,7 +96,7 @@ def social_graph(
                 if dst == src or dst in seen:
                     continue
             seen.add(dst)
-            graph.add_edge(src, dst, _edge_weight(rng))
+            builder.add_edge(src, dst, _edge_weight(rng))
             pool.append(dst)
     # peripheral whisker chains: core -> head -> ... -> tail end, with a
     # cheap back-edge so the periphery also feeds messages inward.
@@ -104,16 +104,16 @@ def social_graph(
     while vid < num_vertices:
         length = min(tail_chain, num_vertices - vid)
         anchor = rng.randrange(core_n)
-        graph.add_edge(anchor, vid, 1.0 + rng.random())
+        builder.add_edge(anchor, vid, 1.0 + rng.random())
         for offset in range(length - 1):
-            graph.add_edge(
+            builder.add_edge(
                 vid + offset, vid + offset + 1, 1.0 + rng.random()
             )
-            graph.add_edge(
+            builder.add_edge(
                 vid + offset + 1, vid + offset, 1.0 + rng.random()
             )
         vid += length
-    return graph
+    return builder.build(name)
 
 
 def web_graph(
@@ -136,7 +136,7 @@ def web_graph(
         raise ValueError("need at least 2 vertices")
     rng = random.Random(seed)
     window = locality_window or max(2, num_vertices // 150)
-    graph = Graph(num_vertices, name=name)
+    builder = GraphBuilder(num_vertices)
     jump_weight = 40.0 * window  # dearer than hopping the span locally
     for src in range(num_vertices):
         degree = max(1, round(rng.gauss(avg_degree, avg_degree / 3)))
@@ -156,8 +156,8 @@ def web_graph(
             if dst == src or dst in seen:
                 continue
             seen.add(dst)
-            graph.add_edge(src, dst, weight)
-    return graph
+            builder.add_edge(src, dst, weight)
+    return builder.build(name)
 
 
 def random_graph(
@@ -168,19 +168,19 @@ def random_graph(
 ) -> Graph:
     """Erdős–Rényi-style graph; used mostly by tests."""
     rng = random.Random(seed)
-    graph = Graph(num_vertices, name=name)
+    builder = GraphBuilder(num_vertices)
     num_edges = int(num_vertices * avg_degree)
     for _ in range(num_edges):
         src = rng.randrange(num_vertices)
         dst = rng.randrange(num_vertices)
         if src != dst:
-            graph.add_edge(src, dst, _edge_weight(rng))
-    return graph
+            builder.add_edge(src, dst, _edge_weight(rng))
+    return builder.build(name)
 
 
 def ring_graph(num_vertices: int, name: str = "ring") -> Graph:
     """Directed cycle — maximal diameter, handy for convergence tests."""
-    graph = Graph(num_vertices, name=name)
+    builder = GraphBuilder(num_vertices)
     for src in range(num_vertices):
-        graph.add_edge(src, (src + 1) % num_vertices, 1.0)
-    return graph
+        builder.add_edge(src, (src + 1) % num_vertices, 1.0)
+    return builder.build(name)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Union
 
-from repro.core.graph import Graph
+from repro.core.graph import Graph, GraphBuilder
 
 __all__ = ["write_edge_list", "read_edge_list"]
 
@@ -36,7 +36,7 @@ def read_edge_list(
     ``max id + 1``.
     """
     path = Path(path)
-    edges = []
+    builder = GraphBuilder(0)
     max_id = -1
     with path.open("r", encoding="ascii") as handle:
         for line in handle:
@@ -46,7 +46,7 @@ def read_edge_list(
             parts = line.split()
             src, dst = int(parts[0]), int(parts[1])
             weight = float(parts[2]) if len(parts) > 2 else 1.0
-            edges.append((src, dst, weight))
+            builder.add_edge(src, dst, weight)
             max_id = max(max_id, src, dst)
-    n = num_vertices or (max_id + 1)
-    return Graph(n, edges, name=name or path.stem)
+    builder.num_vertices = num_vertices or (max_id + 1)
+    return builder.build(name or path.stem)

@@ -110,6 +110,17 @@ class BlockLayout:
 
 #: ``(svertex, edges)``: one svertex's out-edges into one Vblock.
 Fragment = Tuple[int, List[Edge]]
+#: how a store keeps a fragment: ``(svertex, dst_0, weight_0, dst_1,
+#: weight_1, ...)`` in one flat tuple, so building VE-BLOCK allocates one
+#: object per fragment and none per edge.
+FlatFragment = Tuple[Any, ...]
+
+
+def unflatten(fragment: FlatFragment) -> Fragment:
+    """The ``(svertex, [(dst, weight), ...])`` form of a stored fragment."""
+    edges = iter(fragment)
+    svertex = next(edges)
+    return svertex, list(zip(edges, edges))
 
 
 @dataclass
@@ -176,7 +187,7 @@ class VEBlockStore:
         #: (src_block, dst_block) -> (fragments, #fragments, #edges) of
         #: every non-empty Eblock; the counts never change after build.
         self._eblocks: Dict[
-            Tuple[int, int], Tuple[List[Fragment], int, int]
+            Tuple[int, int], Tuple[List[FlatFragment], int, int]
         ] = {}
         self.meta: Dict[int, VBlockMeta] = {}
         #: per-vertex number of fragments (distinct destination blocks).
@@ -205,25 +216,29 @@ class VEBlockStore:
     # construction
     # ------------------------------------------------------------------
     def _build(self, clustering: bool) -> None:
-        """One bucketing pass over the local out-edges fills every table."""
+        """One bucketing pass over the local CSR rows fills every table."""
         layout = self._layout
         block_of = layout.block_of_vertex
-        out_edges = self._graph.out_edges
+        graph = self._graph
+        indptr, indices, weights = graph.indptr, graph.indices, graph.weights
         fragments_of_vertex = self._fragments_of_vertex
         for src_block in self._local_blocks:
-            per_dst: Dict[int, List[Fragment]] = {}
+            per_dst: Dict[int, List[FlatFragment]] = {}
             edges_to: Dict[int, int] = {}
             for vid in layout.block_vertices[src_block]:
-                edges = out_edges(vid)
-                buckets: Dict[int, List[Edge]] = {}
-                for edge in edges:
-                    dst_block = block_of[edge[0]]
-                    if dst_block in buckets:
-                        buckets[dst_block].append(edge)
+                lo = indptr[vid]
+                hi = indptr[vid + 1]
+                buckets: Dict[int, List[Any]] = {}
+                for dst, weight in zip(indices[lo:hi], weights[lo:hi]):
+                    dst_block = block_of[dst]
+                    bucket = buckets.get(dst_block)
+                    if bucket is None:
+                        buckets[dst_block] = [vid, dst, weight]
                     else:
-                        buckets[dst_block] = [edge]
+                        bucket.append(dst)
+                        bucket.append(weight)
                 fragments_of_vertex[vid] = (
-                    len(buckets) if clustering else len(edges)
+                    len(buckets) if clustering else hi - lo
                 )
                 for dst_block, bucket in buckets.items():
                     frags = per_dst.get(dst_block)
@@ -231,10 +246,13 @@ class VEBlockStore:
                         frags = per_dst[dst_block] = []
                         edges_to[dst_block] = 0
                     if clustering:
-                        frags.append((vid, bucket))
+                        frags.append(tuple(bucket))
                     else:
-                        frags.extend((vid, [edge]) for edge in bucket)
-                    edges_to[dst_block] += len(bucket)
+                        frags.extend(
+                            (vid, bucket[i], bucket[i + 1])
+                            for i in range(1, len(bucket), 2)
+                        )
+                    edges_to[dst_block] += len(bucket) >> 1
             for dst_block, frags in per_dst.items():
                 self._eblocks[(src_block, dst_block)] = (
                     frags, len(frags), edges_to[dst_block]
@@ -350,7 +368,11 @@ class VEBlockStore:
         """``(fragments, #fragments, #edges)`` of Eblock ``g_ij``, or
         None when it is empty."""
         self._require_fragments()
-        return self._eblocks.get((src_block, dst_block))
+        found = self._eblocks.get((src_block, dst_block))
+        if found is None:
+            return None
+        fragments, num_fragments, num_edges = found
+        return [unflatten(f) for f in fragments], num_fragments, num_edges
 
     def load_write_bytes(self) -> int:
         """Bytes written to build VE-BLOCK (Vblocks + Eblocks + aux)."""
@@ -398,7 +420,7 @@ class VEBlockStore:
 
     def _scanned_eblocks(
         self, dst_block: int
-    ) -> Iterator[Tuple[List[Fragment], int]]:
+    ) -> Iterator[Tuple[List[FlatFragment], int]]:
         """Eblocks a pull request for *dst_block* scans, in block order.
 
         Yields ``(fragments, bytes_on_disk)`` for every local Eblock
@@ -437,26 +459,27 @@ class VEBlockStore:
         raw = getattr(responding, "data", responding)
         for fragments, disk_bytes in self._scanned_eblocks(dst_block):
             self._disk.read(disk_bytes, sequential=True)
-            for svertex, edges in fragments:
-                if raw[svertex]:
+            for fragment in fragments:
+                if raw[fragment[0]]:
                     self._disk.read(value_bytes, sequential=False)
                     self._stats_vrr += value_bytes
-                    yield svertex, edges
+                    yield unflatten(fragment)
 
     def collect_for_request(
         self, dst_block: int, responding: Sequence[bool]
-    ) -> List[Fragment]:
+    ) -> List[FlatFragment]:
         """Batched :meth:`scan_for_request` for the optimized executor.
 
         Charges and yields exactly what :meth:`scan_for_request` does —
         the same Eblocks sequentially read in the same order, the same
         ``S_v`` random-read bytes per responding fragment — but
-        aggregates the reads into two bulk charges and returns a list
-        instead of resuming a generator per fragment.  Byte counters
-        come out identical; only the Python overhead differs.
+        aggregates the reads into two bulk charges and returns a list of
+        the stored :data:`FlatFragment` tuples instead of resuming a
+        generator per fragment.  Byte counters come out identical; only
+        the Python overhead differs.
         """
         raw = getattr(responding, "data", responding)
-        out: List[Fragment] = []
+        out: List[FlatFragment] = []
         out_append = out.append
         seq_bytes = 0
         for fragments, disk_bytes in self._scanned_eblocks(dst_block):

@@ -41,6 +41,16 @@ class TestGraph:
         edges = [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)]
         g = Graph(3, edges)
         assert sorted(g.edges()) == sorted(edges)
+        # sources out of order (as social_graph's whisker chains add
+        # them): each row keeps its insertion order, not dst order
+        inserted = [
+            (2, 0, 1.0), (0, 2, 2.0), (2, 1, 3.0), (1, 0, 4.0), (0, 1, 5.0)
+        ]
+        g = Graph(3, inserted)
+        rows = [[e for e in inserted if e[0] == v] for v in range(3)]
+        assert list(g.edges()) == [e for row in rows for e in row]
+        for v, row in enumerate(rows):
+            assert g.out_edges(v) == [(d, w) for _s, d, w in row]
 
     def test_in_degrees(self):
         g = Graph(3, [(0, 1), (2, 1), (1, 0)])

@@ -4,6 +4,8 @@ import pytest
 
 from repro.algorithms.lpa import LPA
 from repro.algorithms.pagerank import PageRank
+from repro.algorithms.sssp import SSSP
+from repro.algorithms.wcc import WCC
 from repro.cluster.checkpoint import restore_checkpoint
 from repro.core.config import JobConfig
 from repro.core.graph import Graph, range_partition
@@ -102,6 +104,16 @@ class TestRuntimeSetup:
         g = small_graph()
         rt = Runtime(g, PageRank(), JobConfig(mode="push", num_workers=2))
         assert len(rt.values) == g.num_vertices
+        # the dense initial_values hook agrees with initial_value,
+        # value and type, for the programs that override it
+        for program in (PageRank(), SSSP(source=1), WCC(), LPA()):
+            rt = Runtime(g, program, JobConfig(num_workers=2))
+            expected = [
+                program.initial_value(v, rt.ctx)
+                for v in range(g.num_vertices)
+            ]
+            assert rt.values == expected
+            assert list(map(type, rt.values)) == list(map(type, expected))
         assert not any(rt.resp_prev)
         assert not any(rt.resp_next)
         # owner_of agrees with the partition: uneven splits and more

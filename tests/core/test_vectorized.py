@@ -10,6 +10,8 @@ Tests that *require* dense execution call ``pytest.importorskip`` so the
 NumPy-less CI leg still runs the fallback half of this file.
 """
 
+import copy
+
 import pytest
 
 from repro.algorithms.lpa import LPA
@@ -129,6 +131,18 @@ class TestCSRView:
             )
         assert csr.out_degrees.tolist() == [2, 0, 1, 0, 1]
         assert csr.indices.dtype == np.int64
+        # zero-copy, read-only views of the stored buffers
+        assert np.shares_memory(csr.indptr, g.indptr)
+        assert np.shares_memory(csr.indices, g.indices)
+        assert np.shares_memory(csr.weights, g.weights)
+        assert not csr.indices.flags.writeable
+        # copies share the buffers but cache their own views
+        fresh = self._graph()
+        a, b = copy.copy(fresh), copy.copy(fresh)
+        assert a.indices is b.indices is fresh.indices
+        assert a.csr() is not b.csr()
+        assert np.shares_memory(a.csr().indices, b.csr().indices)
+        assert fresh._csr is None
 
     def test_csr_cached_and_invalidated_by_add_edge(self):
         pytest.importorskip("numpy")
@@ -139,6 +153,10 @@ class TestCSRView:
         second = g.csr()
         assert second is not first
         assert second.out_degrees.tolist() == [2, 1, 1, 0, 1]
+        # the exported buffers were replaced, not resized: the old view
+        # still reads the old edges
+        assert first.indices.tolist() == [1, 3, 4, 0]
+        assert second.indices.tolist() == [1, 3, 2, 4, 0]
 
     def test_row_span_and_gather_rows_agree(self):
         np = pytest.importorskip("numpy")

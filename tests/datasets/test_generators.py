@@ -1,5 +1,7 @@
 """Generator determinism and structural properties."""
 
+import hashlib
+
 import pytest
 
 from repro.datasets.generators import (
@@ -24,6 +26,15 @@ class TestDeterminism:
         a = social_graph(200, 8, seed=1)
         b = social_graph(200, 8, seed=2)
         assert list(a.edges()) != list(b.edges())
+        # pinned: the graphs benchmarks generate (edges, their order
+        # within each row, weights) must not drift with the storage
+        pinned = social_graph(500, 6, seed=1)
+        assert hashlib.sha256(
+            repr(list(pinned.edges())).encode()
+        ).hexdigest() == (
+            "f2577f9a43fe3f87099da967e86c4856"
+            "9d8c02babc1bae64961b8822482bf71c"
+        )
 
 
 class TestSocialGraph:
