@@ -26,11 +26,11 @@ class TestAdjacencyStore:
         assert disk.counters.seq_write == store.load_write_bytes()
         assert disk.counters.random_write == 0
 
-    def test_read_out_edges_returns_edges_and_charges_block(self):
+    def test_charge_out_edges_charges_block(self):
         g, store, disk = make_store()
         store.begin_superstep()
-        edges, charged = store.read_out_edges(0)
-        assert [d for d, _w in edges] == [1, 2]
+        charged = store.charge_out_edges(0)
+        assert [d for d, _w in g.out_edges(0)] == [1, 2]
         # blocks hold 64 vertices, so both local vertices (3 edges) are
         # in the same block and the first touch charges them all.
         assert charged == DEFAULT_SIZES.edges(3)
@@ -39,17 +39,17 @@ class TestAdjacencyStore:
     def test_second_touch_of_block_is_free(self):
         _g, store, disk = make_store()
         store.begin_superstep()
-        store.read_out_edges(0)
-        _edges, charged = store.read_out_edges(1)
+        store.charge_out_edges(0)
+        charged = store.charge_out_edges(1)
         assert charged == 0
         assert disk.counters.seq_read == DEFAULT_SIZES.edges(3)
 
     def test_begin_superstep_recharges(self):
         _g, store, disk = make_store()
         store.begin_superstep()
-        store.read_out_edges(0)
+        store.charge_out_edges(0)
         store.begin_superstep()
-        _edges, charged = store.read_out_edges(1)
+        charged = store.charge_out_edges(1)
         assert charged == DEFAULT_SIZES.edges(3)
 
     def test_block_granularity_one(self):
@@ -58,7 +58,7 @@ class TestAdjacencyStore:
         store = AdjacencyStore(g, [0, 1], disk, DEFAULT_SIZES,
                                block_vertices=1)
         store.begin_superstep()
-        _edges, charged = store.read_out_edges(0)
+        charged = store.charge_out_edges(0)
         assert charged == DEFAULT_SIZES.edges(2)  # only vertex 0's edges
 
     def test_estimate_edge_bytes(self):
@@ -87,6 +87,6 @@ class TestAdjacencyStore:
         disk = SimulatedDisk(enabled=False)
         store = AdjacencyStore(g, [0], disk, DEFAULT_SIZES)
         store.begin_superstep()
-        edges, _charged = store.read_out_edges(0)
-        assert edges == [(1, 1.0)]
+        store.charge_out_edges(0)
+        assert g.out_edges(0) == [(1, 1.0)]
         assert disk.counters.total == 0
