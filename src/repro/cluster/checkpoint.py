@@ -92,7 +92,7 @@ def take_checkpoint(
     checkpoint = Checkpoint(
         superstep=superstep,
         prev_mode=prev_mode,
-        values=list(rt.values),
+        values=list(rt.sync_values()),
         resp_prev=list(rt.resp_prev),
         state=_freeze(stores, controller),
         nbytes=_snapshot_bytes(rt, rt.config.sizes),

@@ -231,7 +231,7 @@ def run_job(
     if owns_tracer:
         tracer.close()
     return JobResult(
-        values=rt.values, metrics=metrics, runtime=rt,
+        values=rt.sync_values(), metrics=metrics, runtime=rt,
         trace=tracer if tracer.enabled else None,
     )
 

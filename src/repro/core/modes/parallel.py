@@ -263,10 +263,11 @@ class _ParallelPool:
 
         The dense state is rebuilt after the rebinding so every view it
         derives (and the children inherit) reads the shared segments;
-        its values come from ``rt.values``, which the driver keeps in
-        sync.  The original CSR view is restored on close because the
-        graph object outlives the job (benchmark runs share graphs
-        across cells).
+        its values are the live dense values, copied into ``rt.values``
+        first (in-process supersteps may have run since the last copy).
+        The original CSR view is restored on close because the graph
+        object outlives the job (benchmark runs share graphs across
+        cells).
         """
         from repro.core.graph import CSRView
 
@@ -279,6 +280,7 @@ class _ParallelPool:
             self._shm_array(original.weights),
             self._shm_array(original.out_degrees),
         )
+        rt.sync_values()
         state = _vec._VecState(rt)
         state.values = self._shm_array(state.values)
         rt.scratch["vectorized"] = state

@@ -261,6 +261,19 @@ class Runtime:
         self.resp_prev = FlagBitset(n)
         self.resp_next = FlagBitset(n)
 
+    def sync_values(self) -> List[Any]:
+        """``values``, refreshed from the vectorized tier's dense state.
+
+        While a vectorized job runs, its values live only in that
+        state's array; the readers of ``values`` (a checkpoint, the pool
+        fork and the job's result) call this first.  A no-op for the
+        scalar tiers and right after a restore, which drops the state.
+        """
+        state = self.scratch.get("vectorized")
+        if state is not None:
+            self.values[:] = state.values.tolist()
+        return self.values
+
     # ------------------------------------------------------------------
     # setup / loading
     # ------------------------------------------------------------------

@@ -148,16 +148,26 @@ class TestRecoveryWithPool:
     def test_no_orphans_after_recovery(self):
         # the failure fires while pool processes hold pre-failure state;
         # the engine must reap them before the rewind and the job end.
-        result = run_job(_graph(), PageRank(), JobConfig(
-            mode="bpull", executor="vectorized", num_workers=4,
-            parallelism=4, message_buffer_per_worker=100, max_supersteps=5,
+        # The dense values reach rt.values only at the checkpoint, the
+        # pool fork and the job end, so each run must still match the
+        # reference executor's values and metrics.
+        cfg = JobConfig(
+            mode="bpull", executor="reference", num_workers=4,
+            message_buffer_per_worker=100, max_supersteps=5,
             fault=FaultPlan(worker=0, superstep=3),
             checkpoint_interval=2,
-        ))
-        assert result.metrics.restarts == 1
-        assert result.metrics.recovered_from == 2
-        assert multiprocessing.active_children() == []
-        assert result.runtime._pool is None
+        )
+        reference = run_job(_graph(), PageRank(), cfg)
+        for parallelism in (1, 2, 4):
+            result = run_job(_graph(), PageRank(), cfg.but(
+                executor="vectorized", parallelism=parallelism,
+            ))
+            assert result.metrics.restarts == 1
+            assert result.metrics.recovered_from == 2
+            assert _dump(result) == _dump(reference)
+            assert result.values == reference.values
+            assert multiprocessing.active_children() == []
+            assert result.runtime._pool is None
 
 
 class TestConfigValidation:
