@@ -110,6 +110,13 @@ class CSRView:
         flat = starts + offsets
         return indptr_local, self.indices[flat], self.weights[flat]
 
+    def rows(self, span: range) -> Tuple[Any, Any, Any]:
+        """The rows of a worker's vertex range *span*: views
+        (:meth:`row_span`) when it is contiguous, else one gather."""
+        if len(span) and span.step == 1:
+            return self.row_span(span.start, span.stop)
+        return self.gather_rows(np.arange(span.start, span.stop, span.step))
+
 
 def _view(buffer: array, dtype) -> Any:
     """Read-only NumPy view of an ``array.array`` (no copy)."""

@@ -34,7 +34,7 @@ but the host-side work per superstep is much cheaper:
 * Pull-Request's accounting — requests, network flows, raw messages,
   ``mco`` and the pull buffer peaks — is one closed-form pass over
   per-(responder, Vblock) count tables
-  (:func:`replay_pull_requests`, shared with the vectorized tier)
+  (:func:`pull_record`, shared with the vectorized tier)
   instead of a network call and peak update per (requester, Vblock,
   responder) triple;
 * programs with ``uniform_messages`` evaluate ``message_value`` once per
@@ -64,7 +64,8 @@ __all__ = [
     "batched_responder",
     "collect_triple",
     "inbox_sink",
-    "replay_pull_requests",
+    "pull_record",
+    "charge_pull_record",
 ]
 
 #: shared immutable empty inbox for vertices without messages.
@@ -532,8 +533,8 @@ def bpull_gather(
     canonical order — requester ascending, its Vblocks in
     ``local_blocks`` order, responder ascending — because their disk
     charges, the uniform-payload memo and the inbox order follow it.
-    Each answer only records its counts; :func:`replay_pull_requests`
-    accounts for them in closed form.
+    Each answer only records its counts; :func:`pull_record` accounts
+    for them in closed form.
 
     Returns ``inbox[worker_id][vertex] -> [message values]`` where values
     have already been combined per sender when the program is combinable.
@@ -566,24 +567,22 @@ def bpull_gather(
                     nbytes[ry][block_id], units[ry][block_id], payload,
                 ) = got
                 deliver(rx, payload)
-    replay_pull_requests(
-        rt, metrics, msgs_gen_of, edges_of, pull_memory_of, tables,
-        lambda worker: worker.veblock.scan_stats,
+    charge_pull_record(
+        rt, metrics, msgs_gen_of, edges_of, pull_memory_of,
+        pull_record(rt, tables, [w.veblock.scan_stats for w in workers]),
     )
     return inbox
 
 
-def replay_pull_requests(
+def pull_record(
     rt: Runtime,
-    metrics: SuperstepMetrics,
-    msgs_gen_of: Dict[int, int],
-    edges_of: Dict[int, int],
-    pull_memory_of: Dict[int, int],
     tables: Tuple[Sequence[Sequence[int]], ...],
-    scan_stats_of: Callable[[Any], Tuple[int, int, int, int]],
-) -> None:
+    scan_stats: Sequence[Tuple[int, int, int, int]],
+) -> Tuple[int, int, List[Tuple[Tuple[int, int], int]], List[Tuple]]:
     """Algorithm 1's request loop and its accounting, for every tier, in
-    closed form.
+    closed form, as one record ``(requests, units, flows, rows)`` that
+    :func:`charge_pull_record` charges; pure, so a tier may charge it
+    again while its inputs repeat.
 
     *tables* is ``(nvalues, ngroups, nbytes, units)``, each indexed
     ``[responder][Vblock id]``: what the responder sent for that Vblock,
@@ -603,49 +602,65 @@ def replay_pull_requests(
     * the network flows: per-(src, dst) totals, opened in the order the
       loop first touches them (:func:`_pull_flows`).
 
-    Each responder's ``scan_stats_of(worker)`` — edges, aux bytes, edge
-    bytes, ``V_rr`` bytes — is folded into the metrics, and the pull
-    buffers' memory term is added: one block's messages (two with
-    pre-pulling) plus the largest send sub-buffer (Section 4.3).  The
+    Each worker's row is its raw messages, ``mco``, its *scan_stats*
+    row (edges, aux bytes, edge bytes, ``V_rr`` bytes) and the pull
+    buffers' memory term: one block's messages (two with pre-pulling)
+    plus the largest send sub-buffer (Section 4.3).  The
     per-triple loop itself lives on in :mod:`repro.core.modes.reference`,
     the oracle this closed form is checked against.
     """
     nvalues, ngroups, nbytes, units = tables
     workers = rt.workers
     blocks_of = [w.veblock.local_blocks for w in workers]
-    rt.network.add_traffic(
-        len(workers) * sum(map(len, blocks_of)),
-        sum(map(sum, units)),
-        _pull_flows(blocks_of, nbytes, rt.config.sizes.pull_request),
-    )
     values_to = list(map(sum, zip(*nvalues)))
     groups_to = list(map(sum, zip(*ngroups)))
     received = list(map(sum, zip(*nbytes)))
     factor = 2 if rt.config.prepull else 1
+    rows = []
     for worker, blocks in zip(workers, blocks_of):
         wid = worker.worker_id
         sent = nvalues[wid]
         groups = ngroups[wid]
-        total = sum(sent)
-        metrics.raw_messages += total
-        msgs_gen_of[wid] += total
         # what this worker's Vblocks get from the other workers
-        metrics.mco += sum(
+        mco = sum(
             values_to[b] - sent[b] - groups_to[b] + groups[b]
             for b in blocks
         )
-        edges_scanned, aux_bytes, edge_bytes, vrr_bytes = (
-            scan_stats_of(worker)
-        )
-        metrics.edges_scanned += edges_scanned
-        edges_of[wid] += edges_scanned
-        metrics.io_fragments += aux_bytes
-        metrics.io_edges_bpull += edge_bytes
-        metrics.io_vrr += vrr_bytes
-        pull_memory_of[wid] += (
+        memory = (
             factor * max(map(received.__getitem__, blocks), default=0)
             + max(nbytes[wid], default=0)
         )
+        rows.append((sum(sent), mco, *scan_stats[wid], memory))
+    return (
+        len(workers) * sum(map(len, blocks_of)),
+        sum(map(sum, units)),
+        _pull_flows(blocks_of, nbytes, rt.config.sizes.pull_request),
+        rows,
+    )
+
+
+def charge_pull_record(
+    rt: Runtime,
+    metrics: SuperstepMetrics,
+    msgs_gen_of: Dict[int, int],
+    edges_of: Dict[int, int],
+    pull_memory_of: Dict[int, int],
+    record: Tuple,
+) -> None:
+    """Charge one :func:`pull_record` to the network and the metrics."""
+    requests, units, flows, rows = record
+    rt.network.add_traffic(requests, units, flows)
+    for wid, row in enumerate(rows):
+        sent, mco, edges, aux_bytes, edge_bytes, vrr_bytes, memory = row
+        metrics.raw_messages += sent
+        msgs_gen_of[wid] += sent
+        metrics.mco += mco
+        metrics.edges_scanned += edges
+        edges_of[wid] += edges
+        metrics.io_fragments += aux_bytes
+        metrics.io_edges_bpull += edge_bytes
+        metrics.io_vrr += vrr_bytes
+        pull_memory_of[wid] += memory
 
 
 def _pull_flows(

@@ -23,12 +23,13 @@ byte-identical to ``parallelism=1``:
   rebuilds them when the sending set changes; a re-forked child starts
   without plans and rebuilds them;
 * children return each responder's scan (per-Vblock count rows, scan
-  stats, the hit vertices and their partial combines) and their disk
-  deltas; the coordinator hands the scans to
-  :func:`~repro.core.modes.vectorized.replay_scans`, the same
-  closed-form accounting of Algorithm 1 and responder-ordered fold the
-  in-process gather runs, so the network's flow order, both buffer
-  peaks and the float fold match it exactly.
+  stats, the hit vertices and their partial combines, and whether its
+  plan was reused) and their disk deltas; the coordinator hands the
+  scans to :func:`~repro.core.modes.vectorized.replay_scans`, the same
+  closed-form accounting of Algorithm 1 (kept while every plan is
+  reused) and responder-ordered fold the in-process gather runs, so
+  the network's flow order, both buffer peaks and the float fold match
+  it exactly.
 
 Every round is a pure read of coordinator state, so a round that loses a
 child is retried on a fresh fork with nothing to restore.

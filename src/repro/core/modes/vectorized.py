@@ -16,23 +16,23 @@ over a CSR view of the graph instead of per-vertex Python loops:
 * the program's update/message rules run as dense array expressions via
   the optional :class:`~repro.core.api.VectorizedRules` interface;
 * the b-pull gather answers all of a responder's pull requests in one
-  pass over its VE-BLOCK edge stream (:func:`responder_scan`).  What
-  the pass selects and counts — the sending edges, the vertices they
-  hit, the per-Vblock counts and the disk bytes — is a
-  :class:`_ScanPlan` that depends only on the responding flags and the
-  sending set; it is kept per responder and reused while both repeat
-  (every superstep of b-pull PageRank), so a superstep pays only for
-  the payload gather and fold.  Plans are rebuilt when the flags or
-  the sending set change.  Only plans over a responder's whole stream
-  are kept, as views of it: a plan over a partial sending set would
-  hold copies, and such sets (SSSP's and WCC's frontiers) change from
-  one superstep to the next.  Nor are plans kept when the program's ``edge_payloads``
-  returns a validity mask (SSSP), since the hits then depend on
-  values.  Plans live in the cached dense state, so recovery drops
-  them with it;
+  pass over its VE-BLOCK edge stream, its CSR rows
+  (:func:`responder_scan`).  What the pass selects and counts — the
+  sending edges, the vertices they hit, the per-Vblock counts and the
+  disk bytes — is a :class:`_ScanPlan` that depends only on the
+  responding flags and the sending set; it is kept per responder and
+  reused while both repeat (every superstep of b-pull PageRank), so a
+  superstep pays only for the payload gather and fold.  Only plans
+  over a responder's whole stream are kept, as views of it: partial
+  sending sets (SSSP's and WCC's frontiers) change from one superstep
+  to the next.  Nor are plans kept when the program's
+  ``edge_payloads`` returns a validity mask (SSSP), since the hits
+  then depend on values;
 * Algorithm 1's accounting is closed-form over the scans' count rows
-  (:func:`~repro.core.modes.common.replay_pull_requests`): no Python
-  runs per (requester, Vblock, responder) triple.
+  (:func:`~repro.core.modes.common.pull_record`), with no Python per
+  (requester, Vblock, responder) triple, and is charged again while
+  every responder reuses its plan.  Plans and record live in the
+  cached dense state, so recovery drops them with it.
 
 The equivalence contract is strict: ``JobMetrics.to_dict()`` must be
 byte-identical to the other executors for every (input, output)
@@ -68,8 +68,9 @@ np = _numpy
 from repro.core.api import VertexProgram
 from repro.core.metrics import SuperstepMetrics
 from repro.core.modes.common import (
+    charge_pull_record,
     finalize_superstep_metrics,
-    replay_pull_requests,
+    pull_record,
 )
 from repro.storage.messages import LoadResult
 
@@ -244,11 +245,8 @@ class _WorkerVec:
 
 
 class _PullState:
-    """Dense VE-BLOCK views for the gather: each vertex's Vblock id.
-
-    The Eblock arrays live in each responder's store, as one sorted edge
-    stream built in setup.
-    """
+    """Dense VE-BLOCK views for the gather: each vertex's Vblock id
+    (each responder's edges and counts live in its store)."""
 
     def __init__(self, rt) -> None:
         self.block_of = rt.layout.block_of_array
@@ -289,7 +287,6 @@ class _VecState:
                 else np.iinfo(dtype).max
             )
             self.acc_dtype = dtype
-        self.owner = np.asarray(rt.owner_of, dtype=np.int64)
         self.bv = cfg.adjacency_block_vertices
         mask = self.rules.initially_active_mask(rt.ctx, np)
         if mask is None:
@@ -308,6 +305,12 @@ class _VecState:
                 )
         self.initial_mask = np.asarray(mask, dtype=bool)
         need_push = rt.needs_adjacency()
+        if need_push:
+            # each vertex's owner, one slice assignment per worker
+            owner = np.empty(graph.num_vertices, dtype=np.int64)
+            for worker in rt.workers:
+                span = rt.partition.vertices_of(worker.worker_id)
+                owner[span.start:span.stop:span.step] = worker.worker_id
         self.workers: List[_WorkerVec] = []
         for worker in rt.workers:
             span = rt.partition.vertices_of(worker.worker_id)
@@ -316,19 +319,14 @@ class _VecState:
             )
             wvec = _WorkerVec(local)
             if need_push:
-                if span.step == 1:
-                    indptr, e_dst, e_w = csr.row_span(
-                        span.start, span.stop
-                    )
-                else:
-                    indptr, e_dst, e_w = csr.gather_rows(local)
+                indptr, e_dst, e_w = csr.rows(span)
                 deg = csr.out_degrees[local]
                 wvec.indptr = indptr
                 wvec.e_dst = e_dst
                 wvec.e_w = e_w
                 wvec.deg = deg
                 wvec.e_src = np.repeat(local, deg)
-                wvec.e_owner = self.owner[e_dst]
+                wvec.e_owner = owner[e_dst]
                 n_local = len(local)
                 if n_local:
                     starts = np.arange(0, n_local, self.bv)
@@ -345,6 +343,9 @@ class _VecState:
         #: flags and sending set in ``plan_key`` (see :func:`scan_inputs`).
         self.plans: Dict[int, "_ScanPlan"] = {}
         self.plan_key: Optional[Tuple[bytes, Optional[bytes]]] = None
+        #: the last gather's :func:`~repro.core.modes.common.pull_record`,
+        #: charged again while every responder reuses its plan.
+        self.record = None
 
 
 def _row_gather(indptr, rows, counts):
@@ -550,21 +551,18 @@ def compute_worker_update(
 
 def scan_inputs(rt, state: "_VecState", resp_data):
     """What every responder's scan reads, given the flag bytes
-    *resp_data*: ``(resp_bool, block_res, sends, payload_all)`` — each
-    vertex's responding flag, each Vblock's ``res`` indicator, which
-    vertices send (responding, and for uniform programs with a valid
-    payload), and for uniform programs the dense payloads (else None).
+    *resp_data*: ``(resp_data, sends, payload_all)`` — the flag bytes,
+    which vertices send (responding, and for uniform programs with a
+    valid payload), and for uniform programs the dense payloads (else
+    None).
 
-    Drops the cached scan plans (:class:`_ScanPlan`) when the flags or
-    the sending set differ from the ones they were built for.
+    Drops the cached scan plans (:class:`_ScanPlan`) and the
+    accounting record kept with them when the flags or the sending set
+    differ from the ones they were built for.
     """
-    pull = state.pull
-    resp_bool = np.frombuffer(resp_data, dtype=np.bool_)
-    block_res = np.bincount(
-        pull.block_of[resp_bool], minlength=pull.num_blocks
-    ) > 0
-    sends = resp_bool
+    sends = np.frombuffer(resp_data, dtype=np.bool_)
     payload_all = None
+    key_sends = None
     if rt.program.uniform_messages:
         # payloads depend only on the source's (pre-update) value, so
         # one dense evaluation replaces the scalar memoization.
@@ -572,22 +570,25 @@ def scan_inputs(rt, state: "_VecState", resp_data):
             rt.ctx, state.values, state.out_degrees, np
         )
         if payload_valid is not None:
-            sends = resp_bool & payload_valid
-    key = (bytes(resp_data), None if sends is resp_bool else sends.tobytes())
+            sends = sends & payload_valid
+            key_sends = sends.tobytes()
+    key = (bytes(resp_data), key_sends)
     if key != state.plan_key:
         state.plans.clear()
+        state.record = None
         state.plan_key = key
-    return resp_bool, block_res, sends, payload_all
+    return resp_data, sends, payload_all
 
 
 class _ScanPlan:
     """The part of one responder's scan that depends only on the flags
     and the sending set, reused while both repeat.
 
-    * ``stats``: ``[edges, aux_bytes, edge_bytes, vrr_bytes]`` scanned —
+    * ``stats``: ``(edges, aux_bytes, edge_bytes, vrr_bytes)`` scanned —
       a sequential read of every Eblock whose source block responds,
       and ``S_v`` per responding fragment (``IO(V_rr)``, paid even when
-      the payload turns out invalid, as in the scalar order);
+      the payload turns out invalid, as in the scalar order), read off
+      the store's per-Vblock sums and per-vertex fragment counts;
     * ``dsts``, ``sources``, ``weights``: the sending edges in stream
       order (``weights`` is None for uniform programs, which never read
       it);
@@ -601,16 +602,8 @@ class _ScanPlan:
         "stats", "dsts", "sources", "weights", "views", "hit", "counts",
     )
 
-    def __init__(self, rt, store, resp_bool, block_res, sends):
-        sizes = rt.config.sizes
-        scanned = block_res[store.p_src_block]
-        num_edges = int(store.p_nedge[scanned].sum())
-        self.stats = [
-            num_edges,
-            sizes.fragments(int(store.p_nfrag[scanned].sum())),
-            sizes.edges(num_edges),
-            sizes.vertex_value * int(resp_bool[store.f_sv].sum()),
-        ]
+    def __init__(self, rt, store, resp_data, sends):
+        self.stats = store.estimate_bpull_scan(resp_data)
         edge_mask = sends[store.e_sv]
         self.views = bool(edge_mask.all())
         if self.views:
@@ -627,7 +620,7 @@ def _block_counts(state: "_VecState", sizes, dsts):
     """``(hit, counts)`` of one responder's sending edges *dsts*: the
     vertices that get a value, ascending, and its ``(nvalues, ngroups,
     nbytes, units)`` rows over Vblock ids — the tables
-    :func:`~repro.core.modes.common.replay_pull_requests` reads."""
+    :func:`~repro.core.modes.common.pull_record` reads."""
     pull = state.pull
     got = np.zeros(len(state.values), dtype=bool)
     got[dsts] = True
@@ -646,13 +639,12 @@ def responder_scan(
     rt,
     state: "_VecState",
     responder,
-    resp_bool,
-    block_res,
+    resp_data,
     sends,
     payload_all,
 ):
     """Pull-Respond (Algorithm 2) for every request *responder* gets this
-    superstep, in one pass over its sorted edge stream.
+    superstep, in one pass over its edge stream.
 
     Reuses the responder's :class:`_ScanPlan` while the sending set
     repeats, charges its disk, then gathers the payloads and folds them.
@@ -660,15 +652,16 @@ def responder_scan(
     arrays are then views) and its hits do not depend on values; else
     it is rebuilt every superstep.  When the program's ``edge_payloads``
     returns a validity mask, the hits and counts come from the valid
-    edges.  Returns ``(stats, counts, hit, combined)``: the plan's
-    ``stats``, the ``(nvalues, ngroups, nbytes, units)`` rows, the
-    vertices that get a value, ascending, and each one's combine of its
-    edges in stream order, which is its block's Eblock scan order.
+    edges, and the plan is dropped.  Returns ``(stats, counts, hit,
+    combined, reused)``: the plan's ``stats``, the ``(nvalues, ngroups,
+    nbytes, units)`` rows, the vertices that get a value, ascending,
+    each one's combine of its edges in stream order (its CSR row order,
+    which is its Eblock scan order), and whether the stats and counts
+    are a kept plan's from an earlier scan.
     """
     wid = responder.worker_id
-    plan = state.plans.get(wid)
-    if plan is None:
-        plan = _ScanPlan(rt, responder.veblock, resp_bool, block_res, sends)
+    kept = state.plans.get(wid)
+    plan = kept or _ScanPlan(rt, responder.veblock, resp_data, sends)
     _edges, aux_bytes, edge_bytes, vrr_bytes = plan.stats
     responder.disk.charge(
         seq_read=aux_bytes + edge_bytes, random_read=vrr_bytes
@@ -686,19 +679,22 @@ def responder_scan(
         payloads = payloads[valid]
         dsts = dsts[valid]
         hit, counts = _block_counts(state, sizes, dsts)
+        state.plans.pop(wid, None)
+        kept = None
     else:
         if plan.hit is None:
             plan.hit, plan.counts = _block_counts(state, sizes, dsts)
             if plan.views:
                 state.plans[wid] = plan
         hit, counts = plan.hit, plan.counts
+    reused = kept is not None
     if not len(hit):
-        return plan.stats, counts, hit, hit  # nothing to send
+        return plan.stats, counts, hit, hit, reused  # nothing to send
     combined = _fold(
         dsts, payloads, len(state.values),
         state.rules.combine, state.identity, state.acc_dtype,
     )[hit]
-    return plan.stats, counts, hit, combined
+    return plan.stats, counts, hit, combined, reused
 
 
 def load_stored_dense(rt, state: "_VecState", metrics, spill_read_of,
@@ -879,15 +875,19 @@ def replay_scans(
     """Algorithm 1's accounting over every responder's scan (*scans* in
     worker-id order), then the dense fold of their partials.
 
+    When every scan reused its plan, the record's inputs are the last
+    gather's, so its record is charged again; else it is recomputed.
+
     Each vertex gets at most one partial per responder, folded in
     ascending responder order: the per-vertex order of the canonical
     (requester, Vblock, responder) triple stream, so the floats group
     exactly as a per-triple fold would.
     """
-    stats, counts, hits, combined = zip(*scans)
-    replay_pull_requests(
-        rt, metrics, msgs_gen_of, edges_of, pull_memory_of,
-        tuple(zip(*counts)), lambda worker: stats[worker.worker_id],
+    stats, counts, hits, combined, reused = zip(*scans)
+    if state.record is None or not all(reused):
+        state.record = pull_record(rt, tuple(zip(*counts)), stats)
+    charge_pull_record(
+        rt, metrics, msgs_gen_of, edges_of, pull_memory_of, state.record
     )
     return fold_stream(state, [
         pair for pair in zip(hits, combined) if len(pair[0])

@@ -232,8 +232,8 @@ class HybridController:
             for worker in rt.workers:
                 if worker.veblock is None:
                     continue
-                edge_b, aux_b, vrr_b = worker.veblock.estimate_bpull_scan(
-                    rt.resp_next
+                _edges, aux_b, edge_b, vrr_b = (
+                    worker.veblock.estimate_bpull_scan(rt.resp_next)
                 )
                 io_edges_bpull += edge_b
                 io_fragments += aux_b

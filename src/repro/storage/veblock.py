@@ -21,15 +21,15 @@ effect at coarse granularity), and the svertex *value* of each responding
 fragment is read randomly from the Vblock (``IO(V_rr)`` in Eq. 8).
 
 A store has one set of metadata and size tables and two builders chosen
-by executor tier: fragment lists for the scalar tiers, and for the
-vectorized tier one edge stream sorted by ``(dst_block, src_block)`` as
-flat NumPy arrays, with no fragment list.  Both builders sum each local
-Vblock's fragments and edges (a bucketing loop, or ``bincount`` over the
-Eblock rows) and fill ``X_j`` once per block from those sums.  Each
-local Vblock is a slice of its worker's vertex range, so a store keeps
-it as two slices: one of the flag bytes, one of the per-vertex fragment
-counts (a list over the worker's own vertices, which the array builder
-takes from a ``bincount``).
+by executor tier: fragment lists for the scalar tiers, and only counts
+for the vectorized tier, whose edges stay the worker's CSR rows.  Those
+hold each destination vertex's edges in Eblock scan order already: a
+request reads its Eblocks in source-block order, and a worker's source
+blocks chop its rows in order.  Both builders fill ``X_j`` once per
+block from its fragment and edge sums.  Each local Vblock is a slice of
+its worker's vertex range, so a store keeps it as two slices: one of the
+flag bytes, one of the per-vertex fragment counts (a list over the
+worker's own vertices).
 """
 
 from __future__ import annotations
@@ -58,12 +58,11 @@ class BlockLayout:
     """
 
     num_workers: int
+    num_vertices: int
     #: global block id -> owning worker.
     block_owner: Tuple[int, ...]
-    #: global block id -> tuple of vertex ids in the block.
-    block_vertices: Tuple[Tuple[int, ...], ...]
-    #: vertex id -> global block id.
-    block_of_vertex: Tuple[int, ...]
+    #: global block id -> its vertices, a slice of its owner's range.
+    block_ranges: Tuple[range, ...]
 
     @property
     def num_blocks(self) -> int:
@@ -75,12 +74,30 @@ class BlockLayout:
         ]
 
     @cached_property
+    def block_vertices(self) -> Tuple[Tuple[int, ...], ...]:
+        """Global block id -> tuple of vertex ids in the block."""
+        return tuple(map(tuple, self.block_ranges))
+
+    @cached_property
+    def block_of_vertex(self) -> Tuple[int, ...]:
+        """Vertex id -> global block id, one slice assignment per block."""
+        block_of = [0] * self.num_vertices
+        for block, members in enumerate(self.block_ranges):
+            block_of[members.start:members.stop:members.step] = (
+                [block] * len(members)
+            )
+        return tuple(block_of)
+
+    @cached_property
     def block_of_array(self) -> Any:
         """:attr:`block_of_vertex` as a NumPy array, built once per
-        layout."""
+        layout by the same slice assignments."""
         import numpy as np
 
-        return np.asarray(self.block_of_vertex, dtype=np.int64)
+        block_of = np.empty(self.num_vertices, dtype=np.int64)
+        for block, members in enumerate(self.block_ranges):
+            block_of[members.start:members.stop:members.step] = block
+        return block_of
 
     @staticmethod
     def build(
@@ -90,27 +107,22 @@ class BlockLayout:
         if len(blocks_per_worker) != partition.num_workers:
             raise ValueError("need one block count per worker")
         owner: List[int] = []
-        blocks: List[Tuple[int, ...]] = []
-        block_of = [0] * partition.num_vertices
+        blocks: List[range] = []
         for worker in range(partition.num_workers):
-            local = list(partition.vertices_of(worker))
+            local = partition.vertices_of(worker)
             count = max(1, min(blocks_per_worker[worker], max(1, len(local))))
             base, extra = divmod(len(local), count)
             cursor = 0
             for k in range(count):
                 size = base + (1 if k < extra else 0)
-                chunk = tuple(local[cursor : cursor + size])
-                cursor += size
-                block_id = len(blocks)
-                blocks.append(chunk)
+                blocks.append(local[cursor : cursor + size])
                 owner.append(worker)
-                for vid in chunk:
-                    block_of[vid] = block_id
+                cursor += size
         return BlockLayout(
             num_workers=partition.num_workers,
+            num_vertices=partition.num_vertices,
             block_owner=tuple(owner),
-            block_vertices=tuple(blocks),
-            block_of_vertex=tuple(block_of),
+            block_ranges=tuple(blocks),
         )
 
 
@@ -133,17 +145,18 @@ def unflatten(fragment: FlatFragment) -> Fragment:
 class VBlockMeta:
     """Per-Vblock metadata ``X_j`` (kept in memory on the owner).
 
-    The paper's ``X_j`` also holds #svertices, total in-degree and total
-    out-degree.  Nothing in the simulator reads them, so they are not
-    stored; :meth:`VEBlockStore.metadata_memory_bytes` still charges
-    their 16 counter bytes.
+    Of the paper's three ``X_j`` counters, only the total out-degree is
+    kept (:attr:`scan_edges`), next to the block's fragment count;
+    nothing in the simulator reads #svertices or the total in-degree.
+    :meth:`VEBlockStore.metadata_memory_bytes` still charges all 16
+    counter bytes.
     """
 
     block_id: int
-    #: edge bytes and fragment-aux bytes of all this block's Eblocks —
-    #: what b-pull reads when the block responds to every request.
-    scan_edge_bytes: int = 0
-    scan_aux_bytes: int = 0
+    #: edges and fragments of all this block's Eblocks — what b-pull
+    #: reads when the block responds to every request.
+    scan_edges: int = 0
+    scan_fragments: int = 0
     #: responding indicator, refreshed every superstep.
     res: bool = False
 
@@ -166,9 +179,9 @@ class VEBlockStore:
         that shows why clustering matters (Theorem 1 makes fragment count,
         not edge count, the I/O driver).
     as_arrays:
-        Build the sorted edge stream (:attr:`e_sv` and friends) for the
-        vectorized executor instead of fragment lists; the fragment
-        accessors then raise ``RuntimeError``.
+        Keep only counts and the worker's CSR rows (:attr:`e_sv` and
+        friends), for the vectorized executor, instead of fragment
+        lists; the fragment accessors then raise ``RuntimeError``.
     """
 
     def __init__(
@@ -183,7 +196,6 @@ class VEBlockStore:
         as_arrays: bool = False,
     ) -> None:
         self._graph = graph
-        self._worker = worker
         self._layout = layout
         self._disk = disk
         self._sizes = sizes
@@ -195,7 +207,7 @@ class VEBlockStore:
         ] = {}
         self.meta: Dict[int, VBlockMeta] = {}
         #: the worker's vertices, which its blocks chop in order.
-        self._local = local = partition.vertices_of(worker)
+        self._local = partition.vertices_of(worker)
         #: the number of fragments (distinct destination blocks) of each
         #: local vertex, indexed by its position in :attr:`_local`.
         self._frags_of: List[int] = []
@@ -205,28 +217,22 @@ class VEBlockStore:
         self._metadata_bytes = len(self._local_blocks) * (
             16 + (layout.num_blocks + 7) // 8
         )
-        #: with ``as_arrays``, the local edge stream sorted by
-        #: ``(dst_block, src_block)``: Eblocks in ``local_blocks`` order
-        #: inside each destination block's run, fragments in svertex
-        #: order, edges in adjacency order.  ``e_*`` have one entry per
-        #: edge (svertex, global destination, weight), ``f_sv`` one per
-        #: fragment, ``p_*`` one per Eblock; None otherwise.
-        self.e_sv = self.e_dst = self.e_w = self.f_sv = None
-        self.p_src_block = self.p_dst_block = None
-        self.p_nedge = self.p_nfrag = None
+        #: with ``as_arrays``, the worker's CSR rows as its edge stream:
+        #: per edge its svertex, global destination and weight (views of
+        #: the CSR arrays for a range partition); None otherwise.
+        self.e_sv = self.e_dst = self.e_w = None
         #: each local block's vertices as ``(flag_span, count_span)``, in
         #: ``local_blocks`` order: a slice of the flag bytes (vertex ids)
         #: and a slice of :attr:`_frags_of` (positions in :attr:`_local`).
         self._block_spans: List[Tuple[slice, slice]] = []
         cursor = 0
         for block in self._local_blocks:
-            size = len(layout.block_vertices[block])
-            members = local[cursor : cursor + size]
+            members = layout.block_ranges[block]
             self._block_spans.append((
                 slice(members.start, members.stop, members.step),
-                slice(cursor, cursor + size),
+                slice(cursor, cursor + len(members)),
             ))
-            cursor += size
+            cursor += len(members)
         if as_arrays:
             self._build_arrays(fragment_clustering)
         else:
@@ -287,78 +293,47 @@ class VEBlockStore:
 
     def _fill_meta(self, block_rows) -> None:
         """Fill ``X_j`` and the totals from one ``(block, #fragments,
-        #edges)`` row per local block, summed over its Eblocks."""
-        sizes = self._sizes
+        #edges)`` row per local block."""
         for block, nfrag, nedge in block_rows:
-            self.meta[block] = VBlockMeta(
-                block_id=block,
-                scan_edge_bytes=sizes.edges(nedge),
-                scan_aux_bytes=sizes.fragments(nfrag),
-            )
+            self.meta[block] = VBlockMeta(block, nedge, nfrag)
             self._num_fragments += nfrag
             self._num_edges += nedge
 
     def _build_arrays(self, clustering: bool) -> None:
-        """One stable sort of the local edge stream fills every table.
+        """Count every table off the worker's CSR rows, left in order.
 
-        The stream is built source-block-major (``local_blocks`` order,
-        svertex-major, adjacency-minor), so stably sorting it by
-        destination block alone orders it by ``(dst_block, src_block)``
-        and keeps that order inside each Eblock.  A 16-bit key lets
-        NumPy's stable sort run as a radix sort.  Run-length encoding
-        gives the Eblock and fragment boundaries.
+        A vertex's fragments are its distinct destination blocks (its
+        out-degree without clustering): the distinct values of one
+        sorted ``(row, destination block)`` key per edge.  Each local
+        block's sums are its count slice of the per-vertex counts.
         """
         import numpy as np
 
-        block_of = self._layout.block_of_array
-        num_blocks = self._layout.num_blocks
         csr = self._graph.csr()
-        blocks = self._local_blocks
         span = self._local
         local = np.arange(span.start, span.stop, span.step, dtype=np.int64)
-        if len(span) and span.step == 1:
-            _indptr, e_dst, e_w = csr.row_span(span.start, span.stop)
-        else:
-            _indptr, e_dst, e_w = csr.gather_rows(local)
-        e_sv = np.repeat(local, csr.out_degrees[local])
-        dst_block = block_of[e_dst]
-        if num_blocks < 2 ** 15:
-            dst_block = dst_block.astype(np.int16)
-        order = np.argsort(dst_block, kind="stable")
-        dst_block = dst_block[order]
-        self.e_sv = e_sv[order]
-        self.e_dst = e_dst[order]
-        self.e_w = e_w[order]
-        src_block = block_of[self.e_sv]
-        is_eblock = (
-            (np.diff(dst_block, prepend=-1) != 0)
-            | (np.diff(src_block, prepend=-1) != 0)
+        _indptr, self.e_dst, self.e_w = csr.rows(span)
+        degrees = csr.out_degrees[local]
+        self.e_sv = np.repeat(local, degrees)
+        frags_of = degrees
+        if clustering:
+            num_blocks = self._layout.num_blocks
+            key = (self.e_sv - span.start) // span.step * num_blocks
+            key += self._layout.block_of_array[self.e_dst]
+            key.sort()
+            is_fragment = np.ones(len(key), dtype=bool)
+            is_fragment[1:] = key[1:] != key[:-1]
+            frags_of = np.bincount(
+                key[is_fragment] // num_blocks, minlength=len(span)
+            )
+        self._frags_of = frags_of.tolist()
+        out_degrees = degrees.tolist()
+        self._fill_meta(
+            (block, sum(self._frags_of[counts]), sum(out_degrees[counts]))
+            for block, (_flags, counts) in zip(
+                self._local_blocks, self._block_spans
+            )
         )
-        # a fragment is one svertex's run inside an Eblock; without
-        # clustering (the ablation) every edge is its own fragment
-        is_fragment = (
-            is_eblock | (np.diff(self.e_sv, prepend=-1) != 0)
-            | (not clustering)
-        )
-        eb_start = np.flatnonzero(is_eblock)
-        self.f_sv = self.e_sv[is_fragment]
-        self.p_nedge = np.diff(np.append(eb_start, len(self.e_sv)))
-        self.p_nfrag = np.diff(np.append(
-            np.cumsum(is_fragment)[eb_start] - 1, len(self.f_sv)
-        ))
-        self.p_dst_block = dst_block[eb_start].astype(np.int64)
-        self.p_src_block = src_block[eb_start]
-        # each local block's X_j sums the counts of its Eblocks
-        nfrag, nedge = (
-            np.bincount(self.p_src_block, weights=counts,
-                        minlength=num_blocks)[blocks].astype(np.int64)
-            .tolist()
-            for counts in (self.p_nfrag, self.p_nedge)
-        )
-        self._fill_meta(zip(blocks, nfrag, nedge))
-        self._frags_of = np.bincount(
-            (self.f_sv - span.start) // span.step, minlength=len(span)
-        ).tolist()
 
     def _require_fragments(self) -> None:
         if self.e_sv is not None:
@@ -405,12 +380,8 @@ class VEBlockStore:
     def load_write_bytes(self) -> int:
         """Bytes written to build VE-BLOCK (Vblocks + Eblocks + aux)."""
         sizes = self._sizes
-        vertex_bytes = sum(
-            sizes.vertices(len(self._layout.block_vertices[b]))
-            for b in self._local_blocks
-        )
         return (
-            vertex_bytes
+            sizes.vertices(len(self._local))
             + sizes.fragments(self._num_fragments)
             + sizes.edges(self._num_edges)
         )
@@ -539,7 +510,7 @@ class VEBlockStore:
 
         Returns the vertex-record bytes involved (read + written).
         """
-        nbytes = self._sizes.vertices(len(self._layout.block_vertices[block_id]))
+        nbytes = self._sizes.vertices(len(self._layout.block_ranges[block_id]))
         self._disk.read(nbytes, sequential=True)
         self._disk.write(nbytes, sequential=True)
         return 2 * nbytes
@@ -549,27 +520,33 @@ class VEBlockStore:
     # ------------------------------------------------------------------
     def estimate_bpull_scan(
         self, responding: Sequence[bool]
-    ) -> Tuple[int, int, int]:
-        """Bytes b-pull *would* scan given these responding flags.
+    ) -> Tuple[int, int, int, int]:
+        """What b-pull scans given these responding flags, as
+        :attr:`scan_stats` ``(edges, aux_bytes, edge_bytes, vrr_bytes)``.
 
-        Returns ``(edge_bytes, aux_bytes, vrr_bytes)``: all Eblocks of
-        blocks containing a responding svertex are scanned in full, and
-        each responding fragment costs one random ``S_v`` read.  Each
-        Vblock is tested with one slice of the flag bytes.
+        All Eblocks of blocks containing a responding svertex are
+        scanned in full, and each responding fragment costs one random
+        ``S_v`` read.  Each Vblock is tested with one slice of the flag
+        bytes.  Hybrid reads it while pushing; the vectorized tier's
+        scan plans read it as their scan statistics.
         """
         raw = getattr(responding, "data", responding)
         frags_of = self._frags_of
         meta = self.meta
-        edge_bytes = 0
-        aux_bytes = 0
-        fragments = 0
+        edges = fragments = responding_fragments = 0
         for src_block, (flag_span, count_span) in zip(
             self._local_blocks, self._block_spans
         ):
             flags = raw[flag_span]
             if 1 in flags:
                 block_meta = meta[src_block]
-                edge_bytes += block_meta.scan_edge_bytes
-                aux_bytes += block_meta.scan_aux_bytes
-                fragments += sum(compress(frags_of[count_span], flags))
-        return edge_bytes, aux_bytes, self._sizes.vertex_value * fragments
+                edges += block_meta.scan_edges
+                fragments += block_meta.scan_fragments
+                responding_fragments += sum(
+                    compress(frags_of[count_span], flags)
+                )
+        sizes = self._sizes
+        return (
+            edges, sizes.fragments(fragments), sizes.edges(edges),
+            sizes.vertex_value * responding_fragments,
+        )

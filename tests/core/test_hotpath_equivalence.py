@@ -23,6 +23,8 @@ from repro.algorithms.sssp import SSSP
 from repro.algorithms.wcc import WCC
 from repro.core.config import JobConfig
 from repro.core.engine import run_job
+from repro.core.modes import vectorized
+from repro.core.modes.common import pull_record
 from repro.datasets.generators import random_graph
 from repro.storage.disk import SimulatedDisk
 from repro.storage.messages import SpillingMessageStore
@@ -142,7 +144,7 @@ class TestExecutorEquivalence:
             max_supersteps=6,
         ))
 
-    def test_metrics_identical_with_tolerance_aggregator(self):
+    def test_metrics_identical_with_tolerance_aggregator(self, monkeypatch):
         g = random_graph(250, 5, seed=23)
         assert_identical(run_all(
             g, lambda: PageRank(tolerance=1e-4), parallelisms=(1, 2),
@@ -161,8 +163,15 @@ class TestExecutorEquivalence:
         ]
         assert responding[0] == g.num_vertices and responding[-1] == 0
         # the tolerance stops every vertex at once; WCC's sending set
-        # shrinks through partial sets to none, so a scan plan reused
-        # after its set changed would show
+        # shrinks through partial sets to none, so a scan plan or an
+        # accounting record reused after its set changed would show
+        computed = []
+
+        def record(rt, tables, stats):
+            computed.append((rt.config.parallelism, rt.ctx.superstep))
+            return pull_record(rt, tables, stats)
+
+        monkeypatch.setattr(vectorized, "pull_record", record)
         results = run_all(
             g, WCC, parallelisms=(1, 2), mode="bpull", num_workers=4,
             message_buffer_per_worker=100,
@@ -173,6 +182,12 @@ class TestExecutorEquivalence:
         ]
         assert responding[0] == g.num_vertices and responding[-1] == 0
         assert any(0 < r < g.num_vertices for r in responding)
+        if results[-1].runtime.active_executor == "vectorized":
+            gathers = list(range(2, len(responding) + 1))
+            for parallelism in (1, 2):
+                assert [
+                    step for p, step in computed if p == parallelism
+                ] == gathers
 
     @pytest.mark.parametrize("mode", ["bpull", "hybrid"])
     @pytest.mark.parametrize(

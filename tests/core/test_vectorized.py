@@ -88,19 +88,24 @@ class TestFallbackMatrix:
             assert rt.active_executor == "vectorized"
             assert rt.executor_fallback is None
         # every vertex responds in every b-pull PageRank superstep, so
-        # each responder's scan plan is built once and then reused
+        # each responder's scan plan, and the accounting record kept
+        # with them, is built once and then reused
         rt = _runtime(PageRank(), mode="bpull")
         rt.setup()
         plans = []
+        records = []
         for superstep in (1, 2, 3):
             vectorized.run_superstep_vectorized(
                 rt, superstep, "pull", "flag", "bpull"
             )
             rt.swap_flags()
             plans.append(dict(rt.scratch["vectorized"].plans))
+            records.append(rt.scratch["vectorized"].record)
         assert not plans[0]
         assert len(plans[1]) == 2
         assert all(plans[2][w] is plans[1][w] for w in (0, 1))
+        assert records[0] is None
+        assert records[1] is not None and records[2] is records[1]
 
     def test_batched_request_is_untouched(self):
         rt = _runtime(PageRank(), executor="batched")

@@ -40,7 +40,7 @@ class TestBpullEstimateWhilePushing:
         flags = [True] * g.num_vertices
         edge_bytes = aux_bytes = vrr_bytes = 0
         for worker in hybrid_rt.workers:
-            e_b, a_b, v_b = worker.veblock.estimate_bpull_scan(flags)
+            _e, a_b, e_b, v_b = worker.veblock.estimate_bpull_scan(flags)
             edge_bytes += e_b
             aux_bytes += a_b
             vrr_bytes += v_b

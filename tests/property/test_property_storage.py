@@ -61,17 +61,22 @@ def build(g, partition, w, layout, clustering, as_arrays=False):
 
 def bitmap(store, block):
     """``X_j``'s bitmap of *block*: its Eblocks' destination blocks, off
-    the Eblock table or an array store's Eblock rows."""
+    the Eblock table or an array store's CSR rows."""
     if store.e_sv is None:
         return {dst for src, dst in store._eblocks if src == block}
-    return set(store.p_dst_block[store.p_src_block == block].tolist())
+    block_of = store.layout.block_of_vertex
+    return {
+        block_of[dst]
+        for src, dst in zip(store.e_sv.tolist(), store.e_dst.tolist())
+        if block_of[src] == block
+    }
 
 
 def tables(store, flags):
     """The count tables both builds must agree on."""
     return (
         {
-            blk: (bitmap(store, blk), m.scan_edge_bytes, m.scan_aux_bytes)
+            blk: (bitmap(store, blk), m.scan_edges, m.scan_fragments)
             for blk, m in store.meta.items()
         },
         [store.fragments_of_vertex(v) for v in range(len(flags))],
@@ -84,41 +89,35 @@ def tables(store, flags):
     )
 
 
-def fragment_streams(store, dst_block):
-    """A scalar store's Eblocks, fragments and edges for *dst_block*,
-    concatenated in ``local_blocks`` order."""
-    eblocks, frags, edges = [], [], []
-    for src in store.local_blocks:
-        eblock = store.eblock(src, dst_block)
-        if eblock is None:
-            continue
-        fragments, nfrag, nedge = eblock
-        eblocks.append((src, nedge, nfrag))
-        for svertex, out in fragments:
-            frags.append(svertex)
-            edges.extend((svertex, dst, w) for dst, w in out)
-    return eblocks, frags, edges
+def per_destination(edges):
+    """``(svertex, dst, weight)`` *edges* grouped by destination vertex,
+    each group in stream order."""
+    grouped = {}
+    for edge in edges:
+        grouped.setdefault(edge[1], []).append(edge)
+    return grouped
 
 
-def bundle_streams(store, dst_block):
-    """The same three streams, read from *dst_block*'s slice of an
-    array-built store's sorted stream (its Eblocks are one run)."""
-    eblocks = numpy.flatnonzero(store.p_dst_block == dst_block).tolist()
-    if not eblocks:
-        return [], [], []
-    lo, hi = eblocks[0], eblocks[-1] + 1
-    assert hi - lo == len(eblocks)
-    e_at = numpy.concatenate(([0], numpy.cumsum(store.p_nedge))).tolist()
-    f_at = numpy.concatenate(([0], numpy.cumsum(store.p_nfrag))).tolist()
-    edges = slice(e_at[lo], e_at[hi])
-    return (
-        list(zip(store.p_src_block[lo:hi].tolist(),
-                 store.p_nedge[lo:hi].tolist(),
-                 store.p_nfrag[lo:hi].tolist())),
-        store.f_sv[f_at[lo]:f_at[hi]].tolist(),
-        list(zip(store.e_sv[edges].tolist(), store.e_dst[edges].tolist(),
-                 store.e_w[edges].tolist())),
-    )
+def scan_order(store):
+    """A fragment store's edges per destination vertex, in Eblock scan
+    order: each request's Eblocks in ``local_blocks`` order."""
+    edges = []
+    for dst_block in range(store.layout.num_blocks):
+        for src in store.local_blocks:
+            eblock = store.eblock(src, dst_block)
+            if eblock is None:
+                continue
+            for svertex, out in eblock[0]:
+                edges.extend((svertex, dst, w) for dst, w in out)
+    return per_destination(edges)
+
+
+def row_order(store):
+    """An array store's edges per destination vertex, in CSR row
+    order."""
+    return per_destination(zip(
+        store.e_sv.tolist(), store.e_dst.tolist(), store.e_w.tolist()
+    ))
 
 
 class TestVEBlockProperties:
@@ -166,10 +165,9 @@ class TestVEBlockProperties:
             arrays = build(g, partition, w, layout, clustering,
                            as_arrays=True)
             assert tables(arrays, flags) == tables(store, flags)
-            for dst_block in range(layout.num_blocks):
-                assert bundle_streams(arrays, dst_block) == (
-                    fragment_streams(store, dst_block)
-                )
+            # the rows hold every destination's edges in scan order, so
+            # a fold over them groups each vertex's floats as the scan's
+            assert row_order(arrays) == scan_order(store)
             with pytest.raises(RuntimeError, match="vectorized"):
                 arrays.eblock(store.local_blocks[0], 0)
             with pytest.raises(RuntimeError, match="vectorized"):
@@ -223,10 +221,7 @@ class TestVEBlockProperties:
             for dst_block in range(layout.num_blocks):
                 for _ in store.scan_for_request(dst_block, flags):
                     pass
-            _e, aux, edge_bytes, vrr = store.scan_stats
-            assert store.estimate_bpull_scan(flags) == (
-                edge_bytes, aux, vrr
-            )
+            assert store.estimate_bpull_scan(flags) == store.scan_stats
 
 
 class TestMessageStoreProperties:

@@ -168,17 +168,16 @@ class TestMetadata:
     def test_block_scan_bytes_sum_the_block_eblocks(self):
         g = tiny_graph()
         layout, stores = build_store(g)
-        sizes = DEFAULT_SIZES
         for store in stores:
             for blk, meta in store.meta.items():
                 out_degree = sum(
                     g.out_degree(v) for v in layout.block_vertices[blk]
                 )
-                assert meta.scan_edge_bytes == sizes.edges(out_degree)
+                assert meta.scan_edges == out_degree
                 fragments = sum(
                     store.eblock(blk, dst)[1] for dst in bitmap(store, blk)
                 )
-                assert meta.scan_aux_bytes == sizes.fragments(fragments)
+                assert meta.scan_fragments == fragments
 
     def test_num_local_edges(self):
         g = tiny_graph()
@@ -261,8 +260,11 @@ class TestScanForRequest:
         flags = [True] * 5
         _, stores, _ = self._scan_all(g, flags)
         for s in stores:
-            edge_est, aux_est, vrr_est = s.estimate_bpull_scan(flags)
-            _e, aux, edge_bytes, vrr = s.scan_stats
+            edges_est, aux_est, edge_est, vrr_est = s.estimate_bpull_scan(
+                flags
+            )
+            edges, aux, edge_bytes, vrr = s.scan_stats
+            assert edges_est == edges
             assert edge_est == edge_bytes
             assert aux_est == aux
             assert vrr_est == vrr
@@ -273,9 +275,7 @@ class TestScanForRequest:
         flags[0] = True
         _, stores, _ = self._scan_all(g, flags)
         for s in stores:
-            edge_est, aux_est, vrr_est = s.estimate_bpull_scan(flags)
-            _e, aux, edge_bytes, vrr = s.scan_stats
-            assert (edge_est, aux_est, vrr_est) == (edge_bytes, aux, vrr)
+            assert s.estimate_bpull_scan(flags) == s.scan_stats
 
 
 class TestLoading:
