@@ -12,7 +12,7 @@ modes; only where the bytes live differs.
 
 Frame format (a file's content)::
 
-    8 bytes   magic + format version      b"HGCKPT\\x00\\x02"
+    8 bytes   magic + format version      b"HGCKPT\\x00\\x03"
     4 bytes   section count               big-endian u32
     per section:
         2 bytes   name length             big-endian u16
@@ -53,7 +53,7 @@ from repro.cluster.checkpoint import Checkpoint
 
 __all__ = ["CheckpointStore", "CorruptSnapshot", "RestoredSnapshot"]
 
-MAGIC = b"HGCKPT\x00\x02"
+MAGIC = b"HGCKPT\x00\x03"
 _PREFIX = "ckpt-"
 _SUFFIX = ".bin"
 

@@ -41,7 +41,8 @@ class ProgramContext:
     """Read-only facts a program may use during a superstep.
 
     ``out_degree`` is a callable because PageRank divides its rank by the
-    out-degree when emitting messages; the engine backs it with the graph.
+    out-degree when emitting messages.  It is backed by the graph; only
+    the scalar tiers, which call it per message, build a degree list.
     """
 
     num_vertices: int

@@ -72,7 +72,7 @@ from repro.core.modes.common import (
     finalize_superstep_metrics,
     pull_record,
 )
-from repro.storage.messages import LoadResult
+from repro.storage.messages import LoadResult, spill_count
 
 __all__ = [
     "fallback_reason",
@@ -125,11 +125,11 @@ class VectorizedMessageStore:
     Holds deposited messages as ``(dst_array, payload_array)`` chunks in
     arrival order.  Charges are identical to a combine-less
     :class:`~repro.storage.messages.SpillingMessageStore` fed the same
-    message stream: the mem/spill split is purely positional (the first
-    ``capacity`` messages fit, the rest spill as random writes), and
-    ``load`` reads the spilled bytes back sequentially.  The vectorized
-    executor only runs without receiver combining, so no combine
-    parameter exists here.
+    message stream: the mem/spill split is purely positional
+    (:func:`~repro.storage.messages.spill_count`; the spilled messages
+    are random writes), and ``load`` reads the spilled bytes back
+    sequentially.  The vectorized executor only runs without receiver
+    combining, so no combine parameter exists here.
     """
 
     def __init__(self, capacity: Optional[int], sizes, disk) -> None:
@@ -149,21 +149,11 @@ class VectorizedMessageStore:
         if count == 0:
             return
         self.total_deposited += count
-        capacity = self._capacity
-        if capacity is not None:
-            over_before = self._total - capacity
-            if over_before < 0:
-                over_before = 0
-            over_after = self._total + count - capacity
-            if over_after < 0:
-                over_after = 0
-            spilled = over_after - over_before
-            if spilled:
-                self._spill_count += spilled
-                self.total_spilled += spilled
-                self._disk.charge(
-                    random_write=spilled * self._sizes.message
-                )
+        spilled = spill_count(self._total, count, self._capacity)
+        if spilled:
+            self._spill_count += spilled
+            self.total_spilled += spilled
+            self._disk.charge(random_write=spilled * self._sizes.message)
         self._total += count
         self._chunks.append((dsts, payloads))
 
@@ -172,8 +162,7 @@ class VectorizedMessageStore:
 
         The concatenated arrays preserve deposit order, which is the
         per-destination message order the scalar store's ``load()``
-        produces (its mem/spill split is a single positional cutoff, so
-        the mem-then-spill merge per vertex equals stream order).
+        produces: without a combiner it keeps one dict in stream order.
         """
         spilled_count = self._spill_count
         spilled_read = self._sizes.messages(spilled_count)
@@ -319,14 +308,18 @@ class _VecState:
             )
             wvec = _WorkerVec(local)
             if need_push:
-                indptr, e_dst, e_w = csr.rows(span)
                 deg = csr.out_degrees[local]
-                wvec.indptr = indptr
-                wvec.e_dst = e_dst
-                wvec.e_w = e_w
+                store = worker.veblock
+                if store is not None and store.e_sv is not None:
+                    # hybrid: the array VE-BLOCK store holds these rows
+                    wvec.indptr, wvec.e_dst, wvec.e_w, wvec.e_src = (
+                        store.e_indptr, store.e_dst, store.e_w, store.e_sv
+                    )
+                else:
+                    wvec.indptr, wvec.e_dst, wvec.e_w = csr.rows(span)
+                    wvec.e_src = np.repeat(local, deg)
                 wvec.deg = deg
-                wvec.e_src = np.repeat(local, deg)
-                wvec.e_owner = owner[e_dst]
+                wvec.e_owner = owner[wvec.e_dst]
                 n_local = len(local)
                 if n_local:
                     starts = np.arange(0, n_local, self.bv)

@@ -113,12 +113,6 @@ class Runtime:
             if config.max_supersteps is not None
             else (program.default_max_supersteps or 10_000)
         )
-        self.ctx = ProgramContext(
-            num_vertices=graph.num_vertices,
-            superstep=0,
-            out_degree=graph.out_degrees().__getitem__,
-            max_supersteps=self.max_supersteps,
-        )
         #: observability handle (``repro.obs``); the shared no-op null
         #: tracer unless ``config.trace`` asks for one, so every
         #: instrumentation site can guard on ``tracer.enabled`` without
@@ -198,6 +192,18 @@ class Runtime:
                 self.executor_fallback = (
                     f"{self.executor_fallback}; {reason}"
                 )
+        self.ctx = ProgramContext(
+            num_vertices=graph.num_vertices,
+            superstep=0,
+            # the scalar tiers look a degree up per message, so they get
+            # a list; the dense rules read the CSR's degrees instead
+            out_degree=(
+                graph.out_degree
+                if self.active_executor == "vectorized"
+                else graph.out_degrees().__getitem__
+            ),
+            max_supersteps=self.max_supersteps,
+        )
         self._init_state()
 
     def shutdown_pool(self) -> None:

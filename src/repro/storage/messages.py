@@ -5,7 +5,14 @@
 Spills are *random* writes (messages arrive in arbitrary destination
 order — the poor temporal locality the paper blames), and ``load()``
 reads spilled bytes back sequentially after Giraph's sort-merge, which
-also costs CPU per spilled message.
+also costs CPU per spilled message.  Without a receiver combiner the
+mem/spill split is positional: a store's first ``B_i`` messages fit and
+the rest spill (:func:`spill_count`).  So each vertex's memory messages
+followed by its spilled ones are its messages in stream order, and the
+vertices come in order of first arrival: the store keeps one dict in
+stream order and only counts the split, as the vectorized tier's array
+store does.  A combiner folds only memory-resident messages, so that
+path keeps memory and spill apart.
 
 :class:`OnlineMessageStore` models MOCgraph's message online computing:
 the memory budget caches *vertices* (hot = highest in-degree, emulating
@@ -23,7 +30,10 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 from repro.storage.disk import SimulatedDisk
 from repro.storage.records import RecordSizes
 
-__all__ = ["SpillingMessageStore", "OnlineMessageStore", "LoadResult"]
+__all__ = [
+    "SpillingMessageStore", "OnlineMessageStore", "LoadResult",
+    "spill_count",
+]
 
 
 class LoadResult:
@@ -42,6 +52,15 @@ class LoadResult:
         self.spilled_count = spilled_count
 
 
+def spill_count(pending: int, count: int, capacity: Optional[int]) -> int:
+    """How many of *count* messages arriving at a combine-less store
+    that holds *pending* spill: the store's first ``capacity`` messages
+    fit (``None`` = unlimited), the rest spill."""
+    if capacity is None:
+        return 0
+    return max(0, pending + count - capacity) - max(0, pending - capacity)
+
+
 class SpillingMessageStore:
     """Giraph-style receiver buffer with disk spill.
 
@@ -56,6 +75,10 @@ class SpillingMessageStore:
         default (Section 5.1: not cost-effective at the sender, optional
         at the receiver), so the engine passes ``None`` unless
         ``receiver_combine`` is set.
+
+    With a combiner, memory messages (one combined value per vertex) and
+    spilled ones go to two dicts whose keys never meet: a vertex spills
+    only once the buffer is full, and none enters memory after that.
     """
 
     def __init__(
@@ -69,7 +92,10 @@ class SpillingMessageStore:
         self._sizes = sizes
         self._disk = disk
         self._combine = combine
+        #: dst -> values: every pending message without a combiner, the
+        #: memory-resident ones with one.
         self._mem: Dict[int, List[Any]] = {}
+        #: dst -> spilled values, with a combiner only.
         self._spill: Dict[int, List[Any]] = {}
         self._mem_count = 0
         self._spill_count = 0
@@ -79,154 +105,83 @@ class SpillingMessageStore:
     # ------------------------------------------------------------------
     def deposit(self, dst: int, value: Any) -> None:
         """Receive one message for vertex *dst*."""
-        self.total_deposited += 1
-        if self._combine is not None and dst in self._mem:
-            bucket = self._mem[dst]
-            bucket[0] = self._combine(bucket[0], value)
-            return
-        if self._capacity is None or self._mem_count < self._capacity:
-            self._mem.setdefault(dst, []).append(value)
-            self._mem_count += 1
-            return
-        # Buffer full: spill to disk.  Random write — incoming messages
-        # have no destination locality.
-        self._spill.setdefault(dst, []).append(value)
-        self._spill_count += 1
-        self.total_spilled += 1
-        self._disk.write(self._sizes.message, sequential=False)
+        self.deposit_many(((dst, value),))
 
     def deposit_many(self, messages: List[Any]) -> None:
-        """Receive a batch of ``(dst, value)`` pairs.
-
-        Semantically identical to calling :meth:`deposit` per pair (same
-        combine decisions, same spill boundary, same charged bytes) but
-        with the per-message attribute lookups hoisted out of the loop —
-        the receiver side of the push hot path.
-        """
+        """Receive a batch of ``(dst, value)`` pairs, the receiver side
+        of the push hot path: the same result as one :meth:`deposit`
+        per pair, with the lookups hoisted out of the loop."""
         self.total_deposited += len(messages)
+        if self._combine is not None:
+            self._deposit_combined(messages)
+            return
         mem = self._mem
-        combine = self._combine
-        capacity = self._capacity
-        mem_count = self._mem_count
-        spilled = 0
-        if combine is None:
-            # Without a receiver combiner the mem/spill decision is
-            # purely positional: the first ``capacity - mem_count``
-            # messages fit, the rest spill — so split once instead of
-            # re-testing the capacity per message.
-            if capacity is None:
-                fits = len(messages)
-            elif mem_count < capacity:
-                fits = min(len(messages), capacity - mem_count)
+        for dst, value in messages:
+            if dst in mem:
+                mem[dst].append(value)
             else:
-                fits = 0
-            for dst, value in messages[:fits] if fits < len(
-                messages
-            ) else messages:
-                if dst in mem:
-                    mem[dst].append(value)
-                else:
-                    mem[dst] = [value]
-            mem_count += fits
-            if fits < len(messages):
-                spill = self._spill
-                for dst, value in messages[fits:]:
-                    if dst in spill:
-                        spill[dst].append(value)
-                    else:
-                        spill[dst] = [value]
-                spilled = len(messages) - fits
-        else:
-            for dst, value in messages:
-                if dst in mem:
-                    bucket = mem[dst]
-                    bucket[0] = combine(bucket[0], value)
-                    continue
-                if capacity is None or mem_count < capacity:
-                    mem[dst] = [value]
-                    mem_count += 1
-                    continue
-                self._spill.setdefault(dst, []).append(value)
-                spilled += 1
-        self._mem_count = mem_count
-        if spilled:
-            self._spill_count += spilled
-            self.total_spilled += spilled
-            self._disk.charge(
-                random_write=spilled * self._sizes.message
-            )
+                mem[dst] = [value]
+        self._count(len(messages))
 
     def deposit_fanout(self, groups: List[Any], count: int) -> None:
         """Receive ``count`` messages given as ``(dsts, value)`` groups.
 
         Uniform-message programs send one identical value to many
         destinations; the batched executor ships the fan-out groups
-        instead of flattened pairs.  Semantically identical to calling
-        :meth:`deposit` for every ``(dst, value)`` pair in nested order —
-        same positional mem/spill split, same charged bytes.
+        instead of flattened pairs.  The same result as one
+        :meth:`deposit` per ``(dst, value)`` pair in nested order.
         """
         self.total_deposited += count
+        if self._combine is not None:
+            self._deposit_combined(
+                (dst, value) for dsts, value in groups for dst in dsts
+            )
+            return
+        mem = self._mem
+        for dsts, value in groups:
+            for dst in dsts:
+                if dst in mem:
+                    mem[dst].append(value)
+                else:
+                    mem[dst] = [value]
+        self._count(count)
+
+    def _count(self, count: int) -> None:
+        """Split *count* combine-less messages into memory and spill."""
+        spilled = spill_count(
+            self._mem_count + self._spill_count, count, self._capacity
+        )
+        self._mem_count += count - spilled
+        if spilled:
+            self._charge_spill(spilled)
+
+    def _deposit_combined(self, pairs: Iterable[Any]) -> None:
+        """Combine each pair into its vertex's memory value, else take a
+        free buffer slot, else spill."""
         mem = self._mem
         combine = self._combine
         capacity = self._capacity
         mem_count = self._mem_count
         spilled = 0
-        if combine is None:
-            spill = self._spill
-            room = None if capacity is None else capacity - mem_count
-            for dsts, value in groups:
-                k = len(dsts)
-                if room is None or room >= k:
-                    for dst in dsts:
-                        if dst in mem:
-                            mem[dst].append(value)
-                        else:
-                            mem[dst] = [value]
-                    mem_count += k
-                    if room is not None:
-                        room -= k
-                elif room <= 0:
-                    for dst in dsts:
-                        if dst in spill:
-                            spill[dst].append(value)
-                        else:
-                            spill[dst] = [value]
-                    spilled += k
-                else:
-                    # group straddles the buffer boundary
-                    for dst in dsts[:room]:
-                        if dst in mem:
-                            mem[dst].append(value)
-                        else:
-                            mem[dst] = [value]
-                    for dst in dsts[room:]:
-                        if dst in spill:
-                            spill[dst].append(value)
-                        else:
-                            spill[dst] = [value]
-                    mem_count += room
-                    spilled += k - room
-                    room = 0
-        else:
-            for dsts, value in groups:
-                for dst in dsts:
-                    if dst in mem:
-                        bucket = mem[dst]
-                        bucket[0] = combine(bucket[0], value)
-                        continue
-                    if capacity is None or mem_count < capacity:
-                        mem[dst] = [value]
-                        mem_count += 1
-                        continue
-                    self._spill.setdefault(dst, []).append(value)
-                    spilled += 1
+        for dst, value in pairs:
+            if dst in mem:
+                bucket = mem[dst]
+                bucket[0] = combine(bucket[0], value)
+            elif capacity is None or mem_count < capacity:
+                mem[dst] = [value]
+                mem_count += 1
+            else:
+                self._spill.setdefault(dst, []).append(value)
+                spilled += 1
         self._mem_count = mem_count
         if spilled:
-            self._spill_count += spilled
-            self.total_spilled += spilled
-            self._disk.charge(
-                random_write=spilled * self._sizes.message
-            )
+            self._charge_spill(spilled)
+
+    def _charge_spill(self, spilled: int) -> None:
+        # Random writes: incoming messages have no destination locality.
+        self._spill_count += spilled
+        self.total_spilled += spilled
+        self._disk.charge(random_write=spilled * self._sizes.message)
 
     def load(self) -> LoadResult:
         """Drain the store (the push family's ``load()``).
@@ -237,14 +192,13 @@ class SpillingMessageStore:
         spilled_read = self._sizes.messages(spilled_count)
         if spilled_read:
             self._disk.read(spilled_read, sequential=True)
-        merged = self._mem
-        for dst, values in self._spill.items():
-            merged.setdefault(dst, []).extend(values)
+        messages = self._mem
+        messages.update(self._spill)  # a combiner's keys: disjoint
         self._mem = {}
         self._spill = {}
         self._mem_count = 0
         self._spill_count = 0
-        return LoadResult(merged, spilled_read, spilled_count)
+        return LoadResult(messages, spilled_read, spilled_count)
 
     # ------------------------------------------------------------------
     @property

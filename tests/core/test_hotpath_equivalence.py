@@ -254,7 +254,11 @@ class TestBatchedDeposits:
         assert one._disk.counters == many._disk.counters
         assert one.total_spilled == many.total_spilled
         assert one.pending_count == many.pending_count
-        assert one.load().messages == many.load().messages
+        assert one.memory_bytes == many.memory_bytes
+        # same messages, and the same vertex order
+        expected = list(one.load().messages.items())
+        assert list(many.load().messages.items()) == expected
+        return expected
 
     def test_deposit_many_matches_per_message(self):
         pairs = [(i % 7, float(i)) for i in range(40)]
@@ -282,6 +286,28 @@ class TestBatchedDeposits:
                 one.deposit(dst, value)
         fan.deposit_fanout(list(groups), count)
         self._assert_same(one, fan)
+        # an interleaved stream of the three calls that crosses the
+        # buffer boundary twice (a loaded store starts empty again)
+        for capacity in (7, 0):
+            one, mixed = self._stores(capacity=capacity)
+            stream = []
+            for dsts, value in groups:
+                mixed.deposit(dsts[-1], -value)
+                mixed.deposit_many([(dst, value + 1) for dst in dsts])
+                mixed.deposit_fanout([(dsts, value), (dsts[:1], value)],
+                                     len(dsts) + 1)
+                stream.append((dsts[-1], -value))
+                stream.extend((dst, value + 1) for dst in dsts)
+                stream.extend((dst, value) for dst in dsts + dsts[:1])
+            for dst, value in stream:
+                one.deposit(dst, value)
+            assert one.total_spilled == len(stream) - capacity
+            in_stream_order = {}
+            for dst, value in stream:
+                in_stream_order.setdefault(dst, []).append(value)
+            assert self._assert_same(one, mixed) == list(
+                in_stream_order.items()
+            )
 
     def test_deposit_fanout_unlimited_capacity(self):
         groups = [((0, 1), 1.0), ((2,), 2.0)]

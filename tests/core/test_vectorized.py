@@ -81,12 +81,31 @@ class TestFallbackMatrix:
         assert rt.active_executor == "batched"
         assert "lpa" in rt.executor_fallback
 
-    def test_vectorizable_job_stays_dense(self):
-        pytest.importorskip("numpy")
+    def test_vectorizable_job_stays_dense(self, monkeypatch):
+        np = pytest.importorskip("numpy")
         for program in (PageRank(), SSSP(source=0)):
             rt = _runtime(program, mode="hybrid")
             assert rt.active_executor == "vectorized"
             assert rt.executor_fallback is None
+        # hybrid's push views are the array VE-BLOCK store's rows, not
+        # a second copy of them
+        for partition in ("range", "hash"):
+            rt = _runtime(PageRank(), mode="hybrid", partition=partition)
+            rt.setup()
+            state = vectorized._VecState(rt)
+            for worker, wvec in zip(rt.workers, state.workers):
+                store = worker.veblock
+                assert np.shares_memory(wvec.e_dst, store.e_dst)
+                assert np.shares_memory(wvec.e_w, store.e_w)
+                assert np.shares_memory(wvec.e_src, store.e_sv)
+        # the dense rules read the CSR degrees: no job-wide degree list
+        monkeypatch.setattr(Graph, "out_degrees", None)
+        result = run_job(
+            random_graph(40, 3, seed=1), PageRank(supersteps=3),
+            JobConfig(executor="vectorized", mode="bpull", num_workers=2),
+        )
+        assert result.runtime.active_executor == "vectorized"
+        monkeypatch.undo()
         # every vertex responds in every b-pull PageRank superstep, so
         # each responder's scan plan, and the accounting record kept
         # with them, is built once and then reused
@@ -111,6 +130,11 @@ class TestFallbackMatrix:
         rt = _runtime(PageRank(), executor="batched")
         assert rt.active_executor == "batched"
         assert rt.executor_fallback is None
+        # its degree list answers as the graph does
+        graph = rt.graph
+        assert [rt.ctx.out_degree(v) for v in graph.vertices()] == [
+            graph.out_degree(v) for v in graph.vertices()
+        ]
 
 
 class TestCSRView:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.flags import FlagBitset
 from repro.core.graph import Graph, hash_partition, range_partition
+from repro.core.runtime import choose_vblocks_per_worker
 from repro.storage.disk import SimulatedDisk
 from repro.storage.messages import SpillingMessageStore
 from repro.storage.records import DEFAULT_SIZES
@@ -28,28 +29,40 @@ FAST = settings(
 def graph_and_layout(draw, any_partition=False):
     """A graph, its partition and Vblock layout, and a clustering flag.
 
-    With *any_partition* the partition may be a hash partition, and the
-    out-edges of a drawn subset of workers are dropped (edge-less
-    workers).
+    With *any_partition* the partition may be a hash partition, there
+    may be more workers than vertices (workers with no local blocks),
+    the layout may be the one a zero message buffer picks (one Vblock
+    per vertex), and the out-edges of a drawn subset of workers and of
+    vertices are dropped (edge-less workers, rows of out-degree 0).
     """
     n = draw(st.integers(min_value=2, max_value=30))
     num_edges = draw(st.integers(min_value=0, max_value=90))
     workers = draw(st.integers(min_value=1, max_value=3))
+    if any_partition and draw(st.booleans()):
+        workers += n
     partition = range_partition(n, workers)
-    quiet = set()
+    quiet = sinks = set()
     if any_partition:
         if draw(st.booleans()):
             partition = hash_partition(n, workers)
         quiet = draw(st.sets(st.integers(0, workers - 1)))
+        sinks = draw(st.sets(st.integers(0, n - 1)))
     g = Graph(n)
     for _ in range(num_edges):
         src = draw(st.integers(min_value=0, max_value=n - 1))
         dst = draw(st.integers(min_value=0, max_value=n - 1))
-        if src != dst and partition.owner(src) not in quiet:
+        if (src != dst and src not in sinks
+                and partition.owner(src) not in quiet):
             g.add_edge(src, dst)
-    blocks = draw(st.integers(min_value=1, max_value=5))
+    blocks = draw(st.integers(min_value=0 if any_partition else 1,
+                              max_value=5))
     clustering = draw(st.booleans())
-    layout = BlockLayout.build(partition, [blocks] * workers)
+    counts = [
+        choose_vblocks_per_worker(g, partition, w, 0, True) if blocks == 0
+        else blocks
+        for w in range(workers)
+    ]
+    layout = BlockLayout.build(partition, counts)
     return g, partition, layout, clustering
 
 
@@ -168,6 +181,11 @@ class TestVEBlockProperties:
             # the rows hold every destination's edges in scan order, so
             # a fold over them groups each vertex's floats as the scan's
             assert row_order(arrays) == scan_order(store)
+            local = numpy.array(partition.vertices_of(w), dtype=numpy.int64)
+            assert numpy.array_equal(
+                numpy.repeat(local, numpy.diff(arrays.e_indptr)),
+                arrays.e_sv,
+            )
             with pytest.raises(RuntimeError, match="vectorized"):
                 arrays.eblock(store.local_blocks[0], 0)
             with pytest.raises(RuntimeError, match="vectorized"):
