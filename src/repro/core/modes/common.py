@@ -29,8 +29,10 @@ but the host-side work per superstep is much cheaper:
 * outgoing messages are staged directly into per-destination-worker
   buckets (one C-level ``owner_of`` index per message), so routing never
   regroups a flat list;
-* Pull-Respond uses :meth:`VEBlockStore.collect_for_request`, which
-  charges each request's fragment reads in bulk;
+* Pull-Respond answers each responder in one pass over its responding
+  vertices' CSR rows and charges its disk once, with
+  :meth:`VEBlockStore.estimate_bpull_scan`, instead of scanning
+  fragment lists per (requester Vblock, responder) pair;
 * Pull-Request's accounting — requests, network flows, raw messages,
   ``mco`` and the pull buffer peaks — is one closed-form pass over
   per-(responder, Vblock) count tables
@@ -48,7 +50,7 @@ asserts ``JobMetrics.to_dict()`` of both executors is byte-identical.
 
 from __future__ import annotations
 
-from itertools import compress, count
+from itertools import compress, count, groupby
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.core.metrics import SuperstepMetrics
@@ -61,8 +63,6 @@ __all__ = [
     "bpull_gather",
     "finalize_superstep_metrics",
     "phase2_for_worker",
-    "batched_responder",
-    "collect_triple",
     "inbox_sink",
     "pull_record",
     "charge_pull_record",
@@ -266,7 +266,7 @@ def phase2_for_worker(
             for v in worker.vertices
             if program.initially_active(v, ctx)
         }
-        targets: List[int] = sorted(initial | set(msgs.keys()))
+        targets: Sequence[int] = sorted(initial | set(msgs.keys()))
     elif program.all_active:
         targets = worker.vertices
     else:
@@ -529,47 +529,46 @@ def bpull_gather(
     and consumed immediately at the receiver — no message ever touches
     disk, which is the whole point of b-pull.
 
-    Responders answer the (requester, Vblock, responder) triples in the
-    canonical order — requester ascending, its Vblocks in
-    ``local_blocks`` order, responder ascending — because their disk
-    charges, the uniform-payload memo and the inbox order follow it.
-    Each answer only records its counts; :func:`pull_record` accounts
-    for them in closed form.
+    Each responder answers all its requests at once
+    (:func:`_respond_all`).  Disk counters are plain sums and a source
+    vertex belongs to one responder, so only the delivery order is
+    canonical: requester ascending, its Vblocks in ``local_blocks``
+    order, responder ascending — the order of the inbox and of each
+    vertex's values.  The answers only record their counts;
+    :func:`pull_record` accounts for them in closed form.
 
     Returns ``inbox[worker_id][vertex] -> [message values]`` where values
     have already been combined per sender when the program is combinable.
     """
-    flags = rt.resp_prev
     workers = rt.workers
     for worker in workers:
         if worker.veblock is None:
             raise RuntimeError("b-pull requires VE-BLOCK storage")
-        worker.veblock.begin_superstep_stats()
-        worker.veblock.refresh_res(flags)
-    inbox = _pull_inbox(rt)
-    respond = batched_responder(rt, flags)
-    deliver = inbox_sink(rt, inbox)
     num_blocks = rt.layout.num_blocks
     tables = tuple(
         [[0] * num_blocks for _ in workers] for _ in range(4)
     )
-    nvalues, ngroups, nbytes, units = tables
+    answers = []
+    scan_stats = []
+    for responder in workers:
+        ry = responder.worker_id
+        by_block, stats = _respond_all(
+            rt, responder, *(table[ry] for table in tables)
+        )
+        answers.append(by_block)
+        scan_stats.append(stats)
+    inbox = _pull_inbox(rt)
+    deliver = inbox_sink(rt, inbox)
     for requester in workers:
         rx = requester.worker_id
         for block_id in requester.veblock.local_blocks:
-            for responder in workers:
-                got = respond(block_id, responder)
-                if got is None:
-                    continue
-                ry = responder.worker_id
-                (
-                    nvalues[ry][block_id], ngroups[ry][block_id],
-                    nbytes[ry][block_id], units[ry][block_id], payload,
-                ) = got
-                deliver(rx, payload)
+            for by_block in answers:
+                items = by_block.get(block_id)
+                if items is not None:
+                    deliver(rx, items)
     charge_pull_record(
         rt, metrics, msgs_gen_of, edges_of, pull_memory_of,
-        pull_record(rt, tables, [w.veblock.scan_stats for w in workers]),
+        pull_record(rt, tables, scan_stats),
     )
     return inbox
 
@@ -734,143 +733,100 @@ def inbox_sink(
     return deliver
 
 
-def batched_responder(rt: Runtime, flags):
-    """The batched tier's ``respond`` callback over *flags*: runs
-    :func:`collect_triple` with one uniform-payload memo for the whole
-    gather."""
-    program = rt.program
-    combine = program.combine if _bpull_combines(rt) else None
-    payload_of: Dict[int, Any] = {}
+def _respond_all(rt: Runtime, responder, nvalues, ngroups, nbytes, units):
+    """Pull-Respond (Alg. 2) for every request *responder* gets this
+    superstep, in one pass over its responding vertices' CSR rows.
 
-    def respond(block_id: int, responder):
-        return collect_triple(
-            responder, block_id, flags, rt.values, rt.ctx,
-            program.message_value, combine, program.uniform_messages,
-            payload_of, rt.config.sizes,
-        )
+    The responding vertices come in ascending order, which is also the
+    order of their fragments in the Eblocks a request scans, so each
+    destination's values fold in the scalar order.  A uniform program's
+    payload is evaluated once per source, on its first edge.  The disk
+    is charged once with what the scans read
+    (:meth:`VEBlockStore.estimate_bpull_scan`).  Fills the responder's
+    rows of the four count tables, indexed by Vblock id.
 
-    return respond
-
-
-#: unique sentinel for the pull-payload memo (None is a legal payload).
-_MISSING = object()
-
-
-def collect_triple(
-    responder,
-    block_id: int,
-    flags,
-    values: List[Any],
-    ctx,
-    message_value,
-    combine,
-    uniform: bool,
-    payload_of: Dict[int, Any],
-    sizes,
-):
-    """Pull-Respond for one (requested Vblock, responder) pair.
-
-    The per-triple half of :func:`bpull_gather`: scans the responder's
-    matching Eblocks (charging its disk), builds the per-destination
-    send buffer, and sizes the transfer.  *combine* is the program's
-    combiner or None for concatenation-only programs; *payload_of*
-    memoizes uniform payloads per source vertex across the whole
-    gather.
-
-    Returns None when the responder contributes nothing, else
-    ``(nvalues, ngroups, nbytes, units, items)`` where *items* lists
-    ``(dst, combined value)`` (combining) or ``(dst, [payloads])``
-    (concatenation) in ascending ``dst`` order — the order the
-    requester appends them to its inbox.
+    Returns ``(answers, scan_stats)``: *answers* maps a requested
+    Vblock to its ``(dst, combined value)`` (combining) or ``(dst,
+    [payloads])`` (concatenation) items in ascending ``dst`` order, for
+    the Vblocks that get any.
     """
-    fragments = responder.veblock.collect_for_request(block_id, flags)
-    if not fragments:
-        return None
-    nvalues = 0
-    if combine is not None:
-        # Combine incrementally while filling the buffer — the same
-        # left-to-right fold ``combine_all`` would apply to the
-        # per-destination list, without materialising the list.
-        cbuffer: Dict[int, Any] = {}
+    program = rt.program
+    message_value = program.message_value
+    combine = program.combine if _bpull_combines(rt) else None
+    values = rt.values
+    ctx = rt.ctx
+    graph = rt.graph
+    indptr, indices, weights = graph.indptr, graph.indices, graph.weights
+    block_of = rt.layout.block_of_vertex
+    raw = rt.resp_prev.data
+    local = rt.partition.vertices_of(responder.worker_id)
+    sources = compress(local, raw[local.start:local.stop:local.step])
+    uniform = program.uniform_messages
+    buffer: Dict[int, Any] = {}
+    for svertex in sources:
+        lo = indptr[svertex]
+        hi = indptr[svertex + 1]
+        if lo == hi:
+            continue
         if uniform:
-            for fragment in fragments:
-                svertex = fragment[0]
-                payload = payload_of.get(svertex, _MISSING)
-                if payload is _MISSING:
-                    payload = message_value(
-                        svertex, values[svertex],
-                        fragment[1], fragment[2], ctx,
-                    )
-                    payload_of[svertex] = payload
-                if payload is None:
-                    continue
-                for dst in fragment[1::2]:
-                    if dst in cbuffer:
-                        cbuffer[dst] = combine(cbuffer[dst], payload)
-                    else:
-                        cbuffer[dst] = payload
-                nvalues += len(fragment) >> 1
-        else:
-            for fragment in fragments:
-                edges = iter(fragment)
-                svertex = next(edges)
-                svalue = values[svertex]
-                # zip of one iterator with itself pairs (dst, weight)
-                for dst, weight in zip(edges, edges):
-                    payload = message_value(
-                        svertex, svalue, dst, weight, ctx
-                    )
-                    if payload is None:
-                        continue
-                    if dst in cbuffer:
-                        cbuffer[dst] = combine(cbuffer[dst], payload)
-                    else:
-                        cbuffer[dst] = payload
-                    nvalues += 1
-        if not cbuffer:
-            return None
-        ngroups = len(cbuffer)
-        return (
-            nvalues, ngroups, sizes.combined(ngroups), ngroups,
-            sorted(cbuffer.items()),
-        )
-    buffer: Dict[int, List[Any]] = {}
-    if uniform:
-        for fragment in fragments:
-            svertex = fragment[0]
-            payload = payload_of.get(svertex, _MISSING)
-            if payload is _MISSING:
-                payload = message_value(
-                    svertex, values[svertex],
-                    fragment[1], fragment[2], ctx,
-                )
-                payload_of[svertex] = payload
+            payload = message_value(
+                svertex, values[svertex], indices[lo], weights[lo], ctx
+            )
             if payload is None:
                 continue
-            for dst in fragment[1::2]:
+            if combine is None:
+                for dst in indices[lo:hi]:
+                    if dst in buffer:
+                        buffer[dst].append(payload)
+                    else:
+                        buffer[dst] = [payload]
+                continue
+            # the left-to-right fold ``combine_all`` would apply to the
+            # destination's list, without materialising the list; the
+            # values per Vblock are counted here (concatenated ones at
+            # the split below)
+            for dst in indices[lo:hi]:
+                if dst in buffer:
+                    buffer[dst] = combine(buffer[dst], payload)
+                else:
+                    buffer[dst] = payload
+                nvalues[block_of[dst]] += 1
+            continue
+        svalue = values[svertex]
+        for dst, weight in zip(indices[lo:hi], weights[lo:hi]):
+            payload = message_value(svertex, svalue, dst, weight, ctx)
+            if payload is None:
+                continue
+            if combine is None:
                 if dst in buffer:
                     buffer[dst].append(payload)
                 else:
                     buffer[dst] = [payload]
-            nvalues += len(fragment) >> 1
-    else:
-        for fragment in fragments:
-            edges = iter(fragment)
-            svertex = next(edges)
-            svalue = values[svertex]
-            for dst, weight in zip(edges, edges):
-                payload = message_value(
-                    svertex, svalue, dst, weight, ctx
-                )
-                if payload is None:
-                    continue
+            else:
                 if dst in buffer:
-                    buffer[dst].append(payload)
+                    buffer[dst] = combine(buffer[dst], payload)
                 else:
-                    buffer[dst] = [payload]
-                nvalues += 1
-    if not buffer:
-        return None
-    ngroups = len(buffer)
-    nbytes = sizes.concatenated(nvalues, ngroups)
-    return nvalues, ngroups, nbytes, nvalues, sorted(buffer.items())
+                    buffer[dst] = payload
+                nvalues[block_of[dst]] += 1
+    # split by Vblock; the sort is stable, so each keeps dst order
+    dsts = sorted(buffer)
+    dsts.sort(key=block_of.__getitem__)
+    answers: Dict[int, List[Tuple[int, Any]]] = {}
+    sizes = rt.config.sizes
+    for block, group in groupby(dsts, block_of.__getitem__):
+        group = list(group)
+        answers[block] = list(zip(group, map(buffer.__getitem__, group)))
+        ngroups[block] = groups = len(group)
+        if combine is not None:
+            nbytes[block] = sizes.combined(groups)
+            units[block] = groups
+        else:
+            sent = sum(map(len, map(buffer.__getitem__, group)))
+            nvalues[block] = units[block] = sent
+            nbytes[block] = sizes.concatenated(sent, groups)
+    stats = responder.veblock.estimate_bpull_scan(raw)
+    _edges, aux_bytes, edge_bytes, vrr_bytes = stats
+    responder.disk.charge(
+        seq_read=aux_bytes + edge_bytes, random_read=vrr_bytes
+    )
+    return answers, stats

@@ -23,7 +23,7 @@ execution model is Gather-Apply-Scatter over a vertex-cut:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from repro.core.metrics import SuperstepMetrics
 from repro.core.runtime import Runtime
@@ -204,7 +204,7 @@ def run_pull_superstep(rt: Runtime, superstep: int) -> SuperstepMetrics:
 
 
 def _update_targets(
-    rt: Runtime, local_vertices: List[int], superstep: int
+    rt: Runtime, local_vertices: Sequence[int], superstep: int
 ) -> List[int]:
     """Vertices of one worker that run update() this superstep."""
     program = rt.program

@@ -22,7 +22,7 @@ running the same job through both executors.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.core.metrics import SuperstepMetrics
 from repro.core.runtime import Runtime
@@ -120,7 +120,7 @@ def run_superstep_reference(
                 for v in worker.vertices
                 if program.initially_active(v, rt.ctx)
             }
-            targets: List[int] = sorted(initial | set(msgs.keys()))
+            targets: Sequence[int] = sorted(initial | set(msgs.keys()))
         elif program.all_active:
             targets = worker.vertices
         else:

@@ -72,7 +72,8 @@ class Worker:
     """One computational node of the simulated cluster."""
 
     worker_id: int
-    vertices: List[int]
+    #: the worker's vertices in id order: its partition's range.
+    vertices: Sequence[int]
     disk: SimulatedDisk
     adjacency: Optional[AdjacencyStore] = None
     veblock: Optional[VEBlockStore] = None
@@ -328,12 +329,12 @@ class Runtime:
 
         fresh_messages = self._make_message_store
         for w in range(cfg.num_workers):
-            local = list(self.partition.vertices_of(w))
+            local = self.partition.vertices_of(w)
             disk = SimulatedDisk(enabled=cfg.graph_on_disk)
             worker = Worker(worker_id=w, vertices=local, disk=disk)
             if self.needs_adjacency():
                 worker.adjacency = AdjacencyStore(
-                    graph, self.partition.vertices_of(w), disk, cfg.sizes,
+                    graph, local, disk, cfg.sizes,
                     block_vertices=cfg.adjacency_block_vertices,
                 )
             if self.needs_veblock():
@@ -396,7 +397,7 @@ class Runtime:
             combine=combine,
         )
 
-    def _hot_vertices(self, worker: Worker) -> List[int]:
+    def _hot_vertices(self, worker: Worker) -> Sequence[int]:
         """MOCgraph keeps the highest in-degree vertices memory-resident."""
         budget = self.config.message_buffer_per_worker
         if budget is None:

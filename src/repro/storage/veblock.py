@@ -20,19 +20,24 @@ read sequentially (fragment aux + edges — Appendix C's "useless edges"
 effect at coarse granularity), and the svertex *value* of each responding
 fragment is read randomly from the Vblock (``IO(V_rr)`` in Eq. 8).
 
-A store has one set of metadata and size tables and two builders chosen
-by executor tier: fragment lists for the scalar tiers, and only counts
-for the vectorized tier, whose edges stay the worker's CSR rows.  Those
-hold each destination vertex's edges in Eblock scan order already: a
-request reads its Eblocks in source-block order, and a worker's source
-blocks chop its rows in order.  The count build is a few passes over
-whole arrays: one sort of a ``(row, destination block)`` key per edge
-and per-row sums of where the key changes give the fragment counts, and
-one sum per block count span gives ``X_j``'s totals.  Both builders
-fill ``X_j`` once per block from its fragment and edge sums.  Each local
-Vblock is a slice of its worker's vertex range, so a store keeps it as
-two slices: one of the flag bytes, one of the per-vertex fragment
-counts (a list over the worker's own vertices).
+A store has one set of metadata and size tables, built as counts for
+every executor tier: each local vertex's fragments (its distinct
+destination blocks, or its out-degree without clustering), then each
+block's fragment and edge sums, from which ``X_j`` is filled once per
+block.  The executors read edges straight from the worker's CSR rows,
+which hold each destination vertex's edges in Eblock scan order
+already: a request reads its Eblocks in source-block order, and a
+worker's source blocks chop its rows in order.  The scalar tiers count
+with the stdlib, one set of destination blocks per row; the vectorized
+tier counts in a few passes over whole arrays (one sort of a ``(row,
+destination block)`` key per edge, and per-row sums of where the key
+changes).  The fragment lists themselves are built from the rows only
+on the first fragment access (:meth:`VEBlockStore.eblock`,
+:meth:`~VEBlockStore.refresh_res` and the request scans), which only
+the reference oracle and the storage tests make.  Each local Vblock is
+a slice of its worker's vertex range, so a store keeps it as two
+slices: one of the flag bytes, one of the per-vertex fragment counts (a
+list over the worker's own vertices).
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from operator import sub
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.graph import Edge, Graph, Partition
@@ -202,9 +208,9 @@ class VEBlockStore:
         that shows why clustering matters (Theorem 1 makes fragment count,
         not edge count, the I/O driver).
     as_arrays:
-        Keep only counts and the worker's CSR rows (:attr:`e_sv` and
-        friends), for the vectorized executor, instead of fragment
-        lists; the fragment accessors then raise ``RuntimeError``.
+        Count with NumPy and keep the worker's CSR rows as arrays
+        (:attr:`e_sv` and friends), for the vectorized executor; the
+        fragment accessors then raise ``RuntimeError``.
     """
 
     def __init__(
@@ -223,11 +229,12 @@ class VEBlockStore:
         self._disk = disk
         self._sizes = sizes
         self._local_blocks = layout.blocks_of(worker)
+        self._clustering = fragment_clustering
         #: (src_block, dst_block) -> (fragments, #fragments, #edges) of
-        #: every non-empty Eblock; the counts never change after build.
-        self._eblocks: Dict[
+        #: every non-empty Eblock; None until a fragment access builds it.
+        self._eblocks: Optional[Dict[
             Tuple[int, int], Tuple[List[FlatFragment], int, int]
-        ] = {}
+        ]] = None
         self.meta: Dict[int, VBlockMeta] = {}
         #: the worker's vertices, which its blocks chop in order.
         self._local = partition.vertices_of(worker)
@@ -260,24 +267,52 @@ class VEBlockStore:
         if as_arrays:
             self._build_arrays(fragment_clustering)
         else:
-            self._build(fragment_clustering)
+            self._build_counts(fragment_clustering)
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _build(self, clustering: bool) -> None:
-        """One bucketing pass over the local CSR rows fills every table."""
+    def _build_counts(self, clustering: bool) -> None:
+        """Count every table off the local CSR rows with the stdlib.
+
+        A vertex's fragments are its distinct destination blocks (its
+        out-degree without clustering); each block sums its vertices'
+        fragments and out-degrees.
+        """
+        indptr = self._graph.indptr
+        span = self._local
+        starts = indptr[span.start:span.stop:span.step]
+        ends = indptr[span.start + 1:span.stop + 1:span.step]
+        degrees = list(map(sub, ends, starts))
+        if clustering:
+            block_of = self._layout.block_of_vertex.__getitem__
+            indices = self._graph.indices
+            self._frags_of = [
+                len(set(map(block_of, indices[lo:hi])))
+                for lo, hi in zip(starts, ends)
+            ]
+        else:
+            self._frags_of = degrees
+        self._fill_meta(
+            (block, sum(self._frags_of[counts]), sum(degrees[counts]))
+            for block, (_flags, counts) in zip(
+                self._local_blocks, self._block_spans
+            )
+        )
+
+    def _build(self) -> None:
+        """One bucketing pass over the local CSR rows fills the fragment
+        lists of every Eblock."""
+        clustering = self._clustering
         block_of = self._layout.block_of_vertex
         graph = self._graph
         indptr, indices, weights = graph.indptr, graph.indices, graph.weights
-        frags_of = self._frags_of
-        block_rows = []
+        self._eblocks = {}
         for src_block, (_flags, count_span) in zip(
             self._local_blocks, self._block_spans
         ):
             per_dst: Dict[int, List[FlatFragment]] = {}
             edges_to: Dict[int, int] = {}
-            block_frags = 0
             for vid in self._local[count_span]:
                 lo = indptr[vid]
                 hi = indptr[vid + 1]
@@ -290,9 +325,6 @@ class VEBlockStore:
                     else:
                         bucket.append(dst)
                         bucket.append(weight)
-                nfrag = len(buckets) if clustering else hi - lo
-                frags_of.append(nfrag)
-                block_frags += nfrag
                 for dst_block, bucket in buckets.items():
                     frags = per_dst.get(dst_block)
                     if frags is None:
@@ -310,10 +342,6 @@ class VEBlockStore:
                 self._eblocks[(src_block, dst_block)] = (
                     frags, len(frags), edges_to[dst_block]
                 )
-            block_rows.append(
-                (src_block, block_frags, sum(edges_to.values()))
-            )
-        self._fill_meta(block_rows)
 
     def _fill_meta(self, block_rows) -> None:
         """Fill ``X_j`` and the totals from one ``(block, #fragments,
@@ -374,10 +402,16 @@ class VEBlockStore:
             )
         )
 
-    def _require_fragments(self) -> None:
+    def _fragments(
+        self,
+    ) -> Dict[Tuple[int, int], Tuple[List[FlatFragment], int, int]]:
+        """The Eblock table, built on first use."""
         if self.e_sv is not None:
             raise RuntimeError("this VE-BLOCK store was built as arrays "
                                "for the vectorized executor: no fragments")
+        if self._eblocks is None:
+            self._build()
+        return self._eblocks
 
     # ------------------------------------------------------------------
     # sizes and loading
@@ -409,8 +443,7 @@ class VEBlockStore:
     ) -> Optional[Tuple[List[Fragment], int, int]]:
         """``(fragments, #fragments, #edges)`` of Eblock ``g_ij``, or
         None when it is empty."""
-        self._require_fragments()
-        found = self._eblocks.get((src_block, dst_block))
+        found = self._fragments().get((src_block, dst_block))
         if found is None:
             return None
         fragments, num_fragments, num_edges = found
@@ -437,7 +470,7 @@ class VEBlockStore:
     # ------------------------------------------------------------------
     def refresh_res(self, responding: Sequence[bool]) -> None:
         """Recompute every local block's ``res`` indicator from flags."""
-        self._require_fragments()
+        self._fragments()
         raw = getattr(responding, "data", responding)
         for meta, (flag_span, _counts) in zip(
             self.meta.values(), self._block_spans
@@ -455,12 +488,12 @@ class VEBlockStore:
         checks are skipped for free — that is the whole point of
         ``X_j``.
         """
-        self._require_fragments()
+        eblocks = self._fragments()
         sizes = self._sizes
         for src_block in self._local_blocks:
             if not self.meta[src_block].res:
                 continue
-            found = self._eblocks.get((src_block, dst_block))
+            found = eblocks.get((src_block, dst_block))
             if found is None:  # a 0 bit in the bitmap
                 continue
             fragments, num_fragments, num_edges = found
@@ -494,15 +527,15 @@ class VEBlockStore:
     def collect_for_request(
         self, dst_block: int, responding: Sequence[bool]
     ) -> List[FlatFragment]:
-        """Batched :meth:`scan_for_request` for the optimized executor.
+        """Bulk :meth:`scan_for_request`: the same charges, as two bulk
+        reads, and a list of the stored :data:`FlatFragment` tuples
+        instead of a generator.
 
-        Charges and yields exactly what :meth:`scan_for_request` does —
-        the same Eblocks sequentially read in the same order, the same
-        ``S_v`` random-read bytes per responding fragment — but
-        aggregates the reads into two bulk charges and returns a list of
-        the stored :data:`FlatFragment` tuples instead of resuming a
-        generator per fragment.  Byte counters come out identical; only
-        the Python overhead differs.
+        No executor calls it: the batched tier answers each responder in
+        one pass over its CSR rows and charges
+        :meth:`estimate_bpull_scan`.  It stays because the benchmark
+        harness wraps it by name (``perfbench/harness.py``), so its
+        ``veblock.collect_*`` metrics read 0 on batched workloads.
         """
         raw = getattr(responding, "data", responding)
         out: List[FlatFragment] = []

@@ -14,6 +14,8 @@ interpreter too — there it degenerates to the two-executor check.
 """
 
 import json
+from contextlib import ExitStack
+from unittest import mock
 
 import pytest
 
@@ -23,17 +25,44 @@ from repro.algorithms.sssp import SSSP
 from repro.algorithms.wcc import WCC
 from repro.core.config import JobConfig
 from repro.core.engine import run_job
-from repro.core.modes import vectorized
+from repro.core.modes import common, vectorized
+from repro.core.modes import reference as reference_tier
 from repro.core.modes.common import pull_record
 from repro.datasets.generators import random_graph
 from repro.storage.disk import SimulatedDisk
 from repro.storage.messages import SpillingMessageStore
 from repro.storage.records import DEFAULT_SIZES
+from repro.storage.veblock import VEBlockStore
 
 EXECUTORS = ("batched", "reference", "vectorized")
 
+#: the scalar tiers' b-pull gathers, each returning its inbox.
+SCALAR_GATHERS = (
+    (common, "bpull_gather"), (reference_tier, "_bpull_gather_reference"),
+)
+
+
+def _no_fragment_lists(store):
+    raise AssertionError("only the reference tier builds fragment lists")
+
+
+def _logging(gather, log):
+    """*gather*, appending a copy of each inbox it returns, in its dict
+    order, to *log*."""
+    def logged(*args):
+        inbox = gather(*args)
+        log.append([
+            (wid, [(vid, list(msgs)) for vid, msgs in per_worker.items()])
+            for wid, per_worker in inbox.items()
+        ])
+        return inbox
+    return logged
+
 
 def run_all(graph, program_factory, parallelisms=(1,), **cfg_kwargs):
+    """Run the job on every tier.  Only the reference tier may build
+    VE-BLOCK fragment lists; each result's ``inboxes`` logs the inboxes
+    of its scalar b-pull gathers."""
     results = []
     for executor in EXECUTORS:
         for parallelism in parallelisms:
@@ -42,7 +71,20 @@ def run_all(graph, program_factory, parallelisms=(1,), **cfg_kwargs):
             cfg = JobConfig(
                 executor=executor, parallelism=parallelism, **cfg_kwargs
             )
-            results.append(run_job(graph, program_factory(), cfg))
+            inboxes = []
+            with ExitStack() as patches:
+                for module, name in SCALAR_GATHERS:
+                    patches.enter_context(mock.patch.object(
+                        module, name,
+                        _logging(getattr(module, name), inboxes),
+                    ))
+                if executor != "reference":
+                    patches.enter_context(mock.patch.object(
+                        VEBlockStore, "_build", _no_fragment_lists
+                    ))
+                result = run_job(graph, program_factory(), cfg)
+            result.inboxes = inboxes
+            results.append(result)
     return results
 
 
@@ -50,7 +92,8 @@ def assert_identical(results):
     # the fallback record names the *requested* tier, which legitimately
     # differs across the compared runs; everything else must match.
     # The last superstep's network flows must match in order too: the
-    # network folds float seconds in flow order.
+    # network folds float seconds in flow order, and so must every
+    # scalar gather's inbox: its order is the canonical triple order.
     reference = results[0]
     ref_dict = reference.metrics.to_dict()
     ref_dict.pop("fallback", None)
@@ -63,6 +106,8 @@ def assert_identical(results):
         assert actual == expected
         assert other.values == reference.values
         assert list(other.runtime.network._flows.items()) == ref_flows
+        if other.inboxes:
+            assert other.inboxes == reference.inboxes
 
 
 class TestExecutorEquivalence:
@@ -143,6 +188,34 @@ class TestExecutorEquivalence:
             partition="hash", message_buffer_per_worker=80,
             max_supersteps=6,
         ))
+        # b-pull with strided Vblocks of one vertex each (an empty
+        # buffer), for a non-uniform program and for the concatenation
+        # inbox over one-edge fragments
+        for program_factory, settings in (
+            (lambda: SSSP(source=0), {}),
+            (PageRank, {"bpull_combine": False,
+                        "fragment_clustering": False}),
+        ):
+            assert_identical(run_all(
+                g, program_factory, mode="bpull", num_workers=4,
+                partition="hash", message_buffer_per_worker=0,
+                max_supersteps=6, **settings,
+            ))
+        # a uniform program's payload is evaluated once per source and
+        # gather, however many edges and Vblocks the source reaches
+        calls = []
+
+        class LoggedPageRank(PageRank):
+            def message_value(self, vid, value, dst, weight, ctx):
+                calls.append((ctx.superstep, vid))
+                return super().message_value(vid, value, dst, weight, ctx)
+
+        run_job(g, LoggedPageRank(), JobConfig(
+            executor="batched", mode="bpull", num_workers=4,
+            partition="hash", message_buffer_per_worker=80,
+            max_supersteps=4,
+        ))
+        assert calls and len(calls) == len(set(calls))
 
     def test_metrics_identical_with_tolerance_aggregator(self, monkeypatch):
         g = random_graph(250, 5, seed=23)

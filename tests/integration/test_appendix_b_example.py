@@ -51,7 +51,10 @@ def build_layout():
 
 def bitmap(store, block):
     """``X_j``'s bitmap of *block*: its Eblocks' destination blocks."""
-    return {dst for src, dst in store._eblocks if src == block}
+    return {
+        dst for dst in range(store.layout.num_blocks)
+        if store.eblock(block, dst) is not None
+    }
 
 
 class TestAppendixBStructure:

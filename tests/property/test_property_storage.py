@@ -76,7 +76,10 @@ def bitmap(store, block):
     """``X_j``'s bitmap of *block*: its Eblocks' destination blocks, off
     the Eblock table or an array store's CSR rows."""
     if store.e_sv is None:
-        return {dst for src, dst in store._eblocks if src == block}
+        return {
+            dst for dst in range(store.layout.num_blocks)
+            if store.eblock(block, dst) is not None
+        }
     block_of = store.layout.block_of_vertex
     return {
         block_of[dst]

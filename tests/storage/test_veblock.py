@@ -45,7 +45,10 @@ def build_store(graph, num_workers=2, blocks_per_worker=2, worker=0,
 
 def bitmap(store, block):
     """``X_j``'s bitmap of *block*: its Eblocks' destination blocks."""
-    return {dst for src, dst in store._eblocks if src == block}
+    return {
+        dst for dst in range(store.layout.num_blocks)
+        if store.eblock(block, dst) is not None
+    }
 
 
 class TestBlockLayout:
