@@ -469,7 +469,11 @@ class VEBlockStore:
     # superstep accesses
     # ------------------------------------------------------------------
     def refresh_res(self, responding: Sequence[bool]) -> None:
-        """Recompute every local block's ``res`` indicator from flags."""
+        """Recompute every local block's ``res`` indicator from flags.
+
+        Only the fragment scans read ``res``, so this builds their
+        Eblock table (or raises on an array store) as they do.
+        """
         self._fragments()
         raw = getattr(responding, "data", responding)
         for meta, (flag_span, _counts) in zip(
