@@ -8,6 +8,7 @@ iteration state —
 
 * vertex values,
 * the responding flags set during the superstep,
+* the aggregator totals published for the next superstep,
 * the pending contents of every receiver-side message store (push
   family; b-pull has nothing pending by construction),
 * the hybrid Switcher's plan and statistics,
@@ -17,20 +18,23 @@ checkpoint cost.  On a failure the engine restores the latest snapshot
 and resumes from the following superstep instead of superstep 1; with
 no snapshot it restores superstep 0 through the same function.
 
-The message stores and the Switcher are pickled once, when the snapshot
-is taken, so a :class:`Checkpoint` never aliases live objects; every
-restore unpickles fresh ones.  The engine keeps snapshots in a
+That state is one pickle, taken of the runtime's own objects when the
+snapshot is taken, so a :class:`Checkpoint` never aliases live objects;
+every restore unpickles fresh ones.  A snapshot restores into any
+executor tier: a pickled message store of another tier's class is
+drained and its pending messages re-deposited, in order, into a store
+of the running tier.  The engine keeps snapshots in a
 :class:`~repro.cluster.checkpoint_store.CheckpointStore`.
 """
 
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 from repro.core.flags import FlagBitset
-from repro.core.runtime import Runtime
+from repro.core.runtime import Runtime, Worker
 from repro.core.switching import make_controller
 from repro.obs.events import CAT_ENGINE
 from repro.storage.records import RecordSizes
@@ -43,25 +47,20 @@ __all__ = [
 ]
 
 
-def _freeze(stores: Dict[int, Any], controller: Any) -> bytes:
-    return pickle.dumps((stores, controller), protocol=pickle.HIGHEST_PROTOCOL)
-
-
 @dataclass
 class Checkpoint:
     """A consistent snapshot taken at the end of one superstep."""
 
     superstep: int
     prev_mode: Optional[str]
-    values: List[Any]
-    resp_prev: List[bool]
-    #: pickled ``(worker id -> message store, controller)``; the stores
-    #: cover the push family's workers only.
-    state: bytes = _freeze({}, None)
     #: modeled bytes written to persist this snapshot.
-    nbytes: int = 0
-    #: aggregator totals published for the superstep after the snapshot.
-    aggregates: Dict[str, Any] = field(default_factory=dict)
+    nbytes: int
+    #: pickled ``(values, resp_prev, aggregates, stores, controller)``:
+    #: the vertex values, the responding ``FlagBitset``, the aggregator
+    #: totals published for the superstep after the snapshot, worker id
+    #: -> message store (the push family's workers only) and the
+    #: controller.
+    state: bytes
 
     def write_seconds(self, seq_write_mbps: float) -> float:
         return self.nbytes / (seq_write_mbps * 1024.0 * 1024.0)
@@ -92,11 +91,12 @@ def take_checkpoint(
     checkpoint = Checkpoint(
         superstep=superstep,
         prev_mode=prev_mode,
-        values=list(rt.sync_values()),
-        resp_prev=list(rt.resp_prev),
-        state=_freeze(stores, controller),
         nbytes=_snapshot_bytes(rt, rt.config.sizes),
-        aggregates=dict(rt.ctx.aggregates),
+        state=pickle.dumps(
+            (rt.sync_values(), rt.resp_prev, rt.ctx.aggregates, stores,
+             controller),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        ),
     )
     tracer = rt.tracer
     if tracer.enabled:
@@ -110,14 +110,33 @@ def take_checkpoint(
     return checkpoint
 
 
+def _into_running_tier(rt: Runtime, worker: Worker, restored: Any) -> Any:
+    """*restored*, or its pending messages in a store of the running tier.
+
+    A snapshot written by another executor tier holds that tier's store
+    class.  Its pending stream is drained and re-deposited, in order,
+    into a fresh store that charges the unpickled disk clone, so neither
+    step lands on the live disk.
+    """
+    if type(restored) is type(worker.message_store):
+        return restored
+    pending = restored.load().messages
+    fresh = rt._make_message_store(worker)
+    fresh._disk = restored._disk
+    fresh.deposit_many(
+        [(dst, value) for dst, values in pending.items() for value in values]
+    )
+    return fresh
+
+
 def restore_checkpoint(rt: Runtime, checkpoint: Optional[Checkpoint]) -> Any:
     """Reset the runtime to *checkpoint*; returns the restored controller.
 
     ``None`` restores superstep 0 — the paper's recompute-from-scratch:
     initial values, no flags, no aggregator totals, empty message stores
     and a fresh controller.  Both policies take this one path.  Each
-    call unpickles fresh stores and a fresh controller, so the same
-    checkpoint can serve repeated failures.
+    call unpickles fresh state, so the same checkpoint can serve
+    repeated failures.
     """
     superstep = 0 if checkpoint is None else checkpoint.superstep
     tracer = rt.tracer
@@ -131,13 +150,11 @@ def restore_checkpoint(rt: Runtime, checkpoint: Optional[Checkpoint]) -> Any:
         stores: Dict[int, Any] = {}
         controller = make_controller(rt)
     else:
-        rt.values = list(checkpoint.values)
-        rt.resp_prev = FlagBitset.from_iterable(checkpoint.resp_prev)
+        # the aggregator totals are those visible to the superstep after
+        # the snapshot, not the failure-time ones.
+        (rt.values, rt.resp_prev, rt.ctx.aggregates, stores,
+         controller) = pickle.loads(checkpoint.state)
         rt.resp_next = FlagBitset(rt.graph.num_vertices)
-        # aggregator totals visible to the superstep after the snapshot,
-        # not the failure-time ones.
-        rt.ctx.aggregates = dict(checkpoint.aggregates)
-        stores, controller = pickle.loads(checkpoint.state)
     # executor scratch (inbox buffers, the vectorized tier's dense views
     # of rt.values and the stores) refers to the discarded objects.
     rt.scratch.clear()
@@ -150,12 +167,12 @@ def restore_checkpoint(rt: Runtime, checkpoint: Optional[Checkpoint]) -> Any:
             if restored is None:
                 worker.message_store.load()  # drain whatever is pending
             else:
-                worker.message_store = restored
+                restored = _into_running_tier(rt, worker, restored)
                 # the unpickled store carries a private clone of the
                 # worker's disk; rebind so post-restore spills charge
                 # the live one.
-                if hasattr(restored, "_disk"):
-                    restored._disk = worker.disk
+                restored._disk = worker.disk
+                worker.message_store = restored
         if worker.vertex_cache is not None:
             # a restarted worker's memory is gone: the cache starts cold.
             worker.vertex_cache = LRUVertexCache(

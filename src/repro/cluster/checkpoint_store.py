@@ -12,7 +12,7 @@ modes; only where the bytes live differs.
 
 Frame format (a file's content)::
 
-    8 bytes   magic + format version      b"HGCKPT\\x00\\x03"
+    8 bytes   magic + format version      b"HGCKPT\\x00\\x04"
     4 bytes   section count               big-endian u32
     per section:
         2 bytes   name length             big-endian u16
@@ -22,7 +22,8 @@ Frame format (a file's content)::
         k bytes   payload
 
 Sections: ``meta`` (JSON: superstep, modeled nbytes), ``checkpoint``
-(pickled Checkpoint), and optionally ``metrics`` (pickled JobMetrics).
+(the pickled Checkpoint, whose state is already one pickle of bytes),
+and optionally ``metrics`` (pickled JobMetrics).
 Every payload carries its own CRC32, so corruption anywhere in the
 frame — header, flipped payload bytes, truncation — is detected on
 load and the reader falls back to the previous snapshot rather than
@@ -53,7 +54,7 @@ from repro.cluster.checkpoint import Checkpoint
 
 __all__ = ["CheckpointStore", "CorruptSnapshot", "RestoredSnapshot"]
 
-MAGIC = b"HGCKPT\x00\x03"
+MAGIC = b"HGCKPT\x00\x04"
 _PREFIX = "ckpt-"
 _SUFFIX = ".bin"
 

@@ -287,32 +287,25 @@ def _inject_faults(
             "source": fault.source,
             "factor": fault.factor,
         })
+        if fault.kind in ("crash", "kill"):
+            if crash is None:  # first one wins
+                crash = fault
+            continue
+        if tracer.enabled:
+            args = {"kind": fault.kind, "source": fault.source}
+            if fault.kind == "straggler":
+                args["factor"] = fault.factor
+            tracer.instant(
+                "fault", cat=CAT_ENGINE, superstep=superstep,
+                worker=fault.worker, args=args,
+            )
         if fault.kind == "straggler":
             stragglers[fault.worker] = (
                 stragglers.get(fault.worker, 1.0) * fault.factor
             )
-            if tracer.enabled:
-                tracer.instant(
-                    "fault", cat=CAT_ENGINE, superstep=superstep,
-                    worker=fault.worker,
-                    args={"kind": fault.kind, "source": fault.source,
-                          "factor": fault.factor},
-                )
         elif fault.kind == "checkpoint_write":
             ckpt_write_fails = True
-            if tracer.enabled:
-                tracer.instant(
-                    "fault", cat=CAT_ENGINE, superstep=superstep,
-                    worker=fault.worker,
-                    args={"kind": fault.kind, "source": fault.source},
-                )
-        elif fault.kind == "checkpoint_corrupt":
-            if tracer.enabled:
-                tracer.instant(
-                    "fault", cat=CAT_ENGINE, superstep=superstep,
-                    worker=fault.worker,
-                    args={"kind": fault.kind, "source": fault.source},
-                )
+        else:  # checkpoint_corrupt
             corrupted = snapshots.corrupt_latest(owned_only=True)
             if tracer.enabled and corrupted is not None:
                 tracer.instant(
@@ -320,8 +313,6 @@ def _inject_faults(
                     superstep=superstep,
                     args={"snapshot_superstep": corrupted},
                 )
-        elif crash is None:  # crash | kill: first one wins
-            crash = fault
     if crash is not None:
         # the crash-class "fault" instant is emitted by run_job's
         # recovery handler (it carries the restart counter).

@@ -157,6 +157,15 @@ class VectorizedMessageStore:
         self._total += count
         self._chunks.append((dsts, payloads))
 
+    def deposit_many(self, messages: List[Any]) -> None:
+        """Scalar-compatible deposit of ``(dst, value)`` pairs (the
+        cross-tier restore path only)."""
+        if messages:
+            dsts, payloads = zip(*messages)
+            self.deposit_arrays(
+                np.asarray(dsts, dtype=np.int64), np.asarray(payloads)
+            )
+
     def load_arrays(self) -> Tuple[Any, Any, int, int]:
         """Drain to ``(dsts, payloads, spilled_read, spilled_count)``.
 

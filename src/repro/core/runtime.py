@@ -450,11 +450,7 @@ class Runtime:
                     * cfg.cluster.cpu.load_parse_per_edge
                 )
             cpu /= cfg.cluster.cpu.speed
-            delta = worker.disk.snapshot()
-            delta.random_read -= before.random_read
-            delta.random_write -= before.random_write
-            delta.seq_read -= before.seq_read
-            delta.seq_write -= before.seq_write
+            delta = worker.disk.delta_since(before)
             self.load_metrics.io.add(delta)
             cpu_total += cpu
             worker_seconds.append(cfg.cluster.disk.io_seconds(delta) + cpu)

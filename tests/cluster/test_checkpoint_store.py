@@ -5,6 +5,7 @@ that do not look at files run against both modes.
 """
 
 import os
+import pickle
 
 import pytest
 
@@ -14,18 +15,27 @@ from repro.cluster.checkpoint_store import (
     CorruptSnapshot,
     MAGIC,
 )
+from repro.core.flags import FlagBitset
 from repro.core.metrics import JobMetrics
 
 
 def _checkpoint(superstep, value=1.0):
+    flags = FlagBitset(8)
+    for vid in range(8):
+        flags[vid] = True
     return Checkpoint(
         superstep=superstep,
         prev_mode="push",
-        values=[value] * 8,
-        resp_prev=[True] * 8,
         nbytes=128,
-        aggregates={"sum": value * 8},
+        state=pickle.dumps(
+            ([value] * 8, flags, {"sum": value * 8}, {}, None)
+        ),
     )
+
+
+def _values(restored):
+    """The vertex values inside a restored snapshot's state blob."""
+    return pickle.loads(restored.checkpoint.state)[0]
 
 
 def _stores(tmp_path, keep_last=3):
@@ -47,8 +57,13 @@ class TestRoundTrip:
         restored = store.load_latest()
         assert restored is not None
         assert restored.checkpoint.superstep == 3
-        assert restored.checkpoint.values == [0.5] * 8
-        assert restored.checkpoint.aggregates == {"sum": 4.0}
+        values, flags, aggregates, stores, controller = pickle.loads(
+            restored.checkpoint.state
+        )
+        assert values == [0.5] * 8
+        assert list(flags) == [True] * 8 and flags.true_count == 8
+        assert aggregates == {"sum": 4.0}
+        assert stores == {} and controller is None
         assert restored.metrics is not None
         assert restored.metrics.mode == "push"
         assert restored.path == path
@@ -161,14 +176,13 @@ class TestAtomicityAndRetention:
         for each in (memory, store):
             each.save(_checkpoint(2, value=1.0))
             each.save(_checkpoint(2, value=9.0))
-            assert each.load_latest().checkpoint.values == [9.0] * 8
+            assert _values(each.load_latest()) == [9.0] * 8
             # re-taking a corrupted snapshot heals it in place; it must
             # not push the one before it out of keep-last retention.
             each.save(_checkpoint(4))
             each.corrupt_latest()
             each.save(_checkpoint(4))
-            assert each.load_latest(
-                max_superstep=3).checkpoint.values == [9.0] * 8
+            assert _values(each.load_latest(max_superstep=3)) == [9.0] * 8
         names = [os.path.basename(p) for p in store.files()]
         assert names == ["ckpt-00000002.bin", "ckpt-00000004.bin"]
 
@@ -228,15 +242,16 @@ class TestCorruptionFallback:
         with open(newest, "r+b") as fh:
             fh.write(b"NOTACKPT")
         assert store.load_latest().checkpoint.superstep == 2
-        # a well-formed frame of the previous format version is skipped
-        # too: its Checkpoint layout predates the pickled state blob.
-        store.save(_checkpoint(4))
-        assert store.load_latest().checkpoint.superstep == 4
-        with open(newest, "r+b") as fh:
-            fh.write(b"HGCKPT\x00\x01")
-        restored = store.load_latest()
-        assert restored.checkpoint.superstep == 2
-        assert "ckpt-00000004.bin" in restored.skipped[0]
+        # well-formed frames of earlier format versions are skipped
+        # too: their Checkpoint layouts predate the one-pickle state.
+        for old_magic in (b"HGCKPT\x00\x01", b"HGCKPT\x00\x03"):
+            store.save(_checkpoint(4))
+            assert store.load_latest().checkpoint.superstep == 4
+            with open(newest, "r+b") as fh:
+                fh.write(old_magic)
+            restored = store.load_latest()
+            assert restored.checkpoint.superstep == 2
+            assert "ckpt-00000004.bin" in restored.skipped[0]
 
     def test_empty_file_falls_back(self, tmp_path):
         store = CheckpointStore(str(tmp_path), keep_last=3)

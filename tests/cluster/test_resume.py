@@ -8,6 +8,7 @@ durable, and resumes in the parent — the scenario the in-memory
 checkpoint log cannot survive.
 """
 
+import itertools
 import json
 import os
 import signal
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms.pagerank import PageRank
+from repro.algorithms.sssp import SSSP
 from repro.core.config import FaultPlan, JobConfig
 from repro.core.engine import run_job
 from repro.datasets.generators import random_graph
@@ -60,6 +62,31 @@ class TestInProcessResume:
         # everything except the resume marker is byte-identical.
         drop = ("fallback", "resumed_from")
         assert _dump(resumed, drop) == _dump(clean, drop)
+
+        # a snapshot restores into any executor tier, including the
+        # pending messages of another tier's message store class.
+        tiers = (("vectorized", "batched"), ("batched", "vectorized"),
+                 ("batched", "reference"))
+        for program, mode, (writer, reader) in itertools.product(
+            (lambda: PageRank(supersteps=8), SSSP),
+            ("push", "hybrid", "bpull"), tiers,
+        ):
+            cfg = dict(self.CFG, mode=mode)
+            cell = tmp_path / f"{program().name}-{mode}-{writer}-{reader}"
+            clean = run_job(_graph(), program(), JobConfig(
+                **cfg, max_supersteps=8, executor=reader,
+            ))
+            run_job(_graph(), program(), JobConfig(
+                **cfg, max_supersteps=5, executor=writer,
+                checkpoint_dir=str(cell),
+            ))
+            resumed = run_job(_graph(), program(), JobConfig(
+                **cfg, max_supersteps=8, executor=reader,
+                resume_from=str(cell),
+            ))
+            assert resumed.metrics.resumed_from == 4, cell.name
+            assert resumed.values == clean.values, cell.name
+            assert _dump(resumed, drop) == _dump(clean, drop), cell.name
 
     def test_resume_skips_corrupted_latest(self, tmp_path):
         clean = run_job(_graph(), PageRank(supersteps=8),

@@ -194,8 +194,6 @@ class TestVEBlockProperties:
             with pytest.raises(RuntimeError, match="vectorized"):
                 arrays.refresh_res(flags)
             with pytest.raises(RuntimeError, match="vectorized"):
-                arrays.collect_for_request(0, flags)
-            with pytest.raises(RuntimeError, match="vectorized"):
                 next(arrays.scan_for_request(0, flags))
 
     @FAST
