@@ -3,7 +3,8 @@
 Unlike the figure benchmarks (which report *modeled* seconds), this one
 measures real wall-clock time: the batched superstep executor
 (aggregated ``SimulatedDisk.charge`` calls, bitset responding flags,
-per-destination-worker staging, fan-out deposits) against the faithful
+per-destination-worker staging, uniform pushes delivered through the
+job's push plan or as fan-out groups) against the faithful
 pre-optimization executor kept in ``repro.core.modes.reference``.
 
 Both executors must produce byte-identical ``JobMetrics.to_dict()``
@@ -16,7 +17,8 @@ Giraph baseline, also the hottest path: every edge stages a message):
 at least 3x faster under the batched executor.  The b-pull and hybrid
 rows are informational — their jobs spend a larger share of wall-clock
 in one-time setup (VE-block construction), which dilutes the job-level
-ratio.
+ratio — and so are LPA push, whose every superstep takes the push plan,
+and WCC push, whose shrinking sending sets take the fan-out groups.
 
 Results land in ``benchmarks/results/BENCH_hotpath.json``.
 """
@@ -25,8 +27,10 @@ import json
 import time
 
 from conftest import QUICK, RESULTS_DIR, emit, once
+from repro.algorithms.lpa import LPA
 from repro.algorithms.pagerank import PageRank
 from repro.algorithms.sssp import SSSP
+from repro.algorithms.wcc import WCC
 from repro.analysis.reporting import format_table
 from repro.core.config import JobConfig
 from repro.core.engine import run_job
@@ -89,6 +93,8 @@ def run_matrix():
         ("pagerank", lambda: PageRank(supersteps=SUPERSTEPS), "bpull"),
         ("pagerank", lambda: PageRank(supersteps=SUPERSTEPS), "hybrid"),
         ("sssp", lambda: SSSP(source=0), "push"),
+        ("lpa", LPA, "push"),
+        ("wcc", WCC, "push"),
     ]
     records = []
     for program_key, factory, mode in cells:

@@ -26,9 +26,15 @@ but the host-side work per superstep is much cheaper:
 * ``IO(V_t)`` is charged with one :meth:`SimulatedDisk.charge` call per
   worker (``n`` updated records at once) instead of a read/write pair
   per vertex;
-* outgoing messages are staged directly into per-destination-worker
-  buckets (one C-level ``owner_of`` index per message), so routing never
-  regroups a flat list;
+* a non-uniform program's outgoing messages are staged directly into
+  per-destination-worker buckets (one C-level ``owner_of`` index per
+  message), so routing never regroups a flat list;
+* a uniform program's push records one payload per sending vertex.
+  When every vertex with out-edges sends, the job's
+  :attr:`Runtime.push_plan` delivers the superstep: the network is
+  charged from its counts and each store takes one grouped deposit.
+  Any other uniform push stages ``(dsts, payload)`` fan-out groups
+  (:attr:`Runtime.push_fanout`) and routes them;
 * Pull-Respond answers each responder in one pass over its responding
   vertices' CSR rows and charges its disk once, with
   :meth:`VEBlockStore.estimate_bpull_scan`, instead of scanning
@@ -57,6 +63,7 @@ from repro.core.metrics import SuperstepMetrics
 from repro.core.runtime import Runtime
 from repro.obs.instrument import derive_phases, emit_superstep_events
 from repro.storage.disk import IOCounters
+from repro.storage.messages import SpillingMessageStore
 
 __all__ = [
     "run_superstep",
@@ -87,6 +94,19 @@ def _staged_flows(rt: Runtime) -> List[List[List[Tuple[int, Any]]]]:
                 if bucket:
                     bucket.clear()
     return flows
+
+
+def _uniform_staging(rt: Runtime) -> Tuple[List[Any], List[List[int]]]:
+    """The payload of each vertex, indexed by id, and each worker's
+    sender list (reused; a payload is read only for a listed sender)."""
+    payloads = rt.scratch.get("payloads")
+    if payloads is None:
+        payloads = rt.scratch["payloads"] = [None] * rt.graph.num_vertices
+        rt.scratch["senders"] = [[] for _ in rt.workers]
+    senders = rt.scratch["senders"]
+    for listed in senders:
+        listed.clear()
+    return payloads, senders
 
 
 def _pull_inbox(rt: Runtime) -> Dict[int, Dict[int, List[Any]]]:
@@ -178,11 +198,14 @@ def run_superstep(
     # ------------------------------------------------------------------
     # Phase 2: update vertices; stage outgoing messages if pushing.
     # ------------------------------------------------------------------
-    # uniform programs stage (dsts, payload) fan-out groups instead of
-    # one (dst, payload) pair per edge; see Runtime.push_fanout.
+    # uniform programs record one payload per sending vertex instead of
+    # one (dst, payload) pair per edge; see _push_uniform.
     uniform = program.uniform_messages
     staged = _staged_flows(rt)
-    fanout = rt.push_fanout if (uniform and pushing) else None
+    payloads = None
+    outputs = staged
+    if uniform and pushing:
+        payloads, outputs = _uniform_staging(rt)
     vertex_record = sizes.vertex_record
     for worker in rt.workers:
         wid = worker.worker_id
@@ -194,10 +217,12 @@ def run_superstep(
         num_targets, n_respond, raw_staged, edges_scanned, edge_bytes = (
             phase2_for_worker(
                 rt, worker, superstep, inbox.get(wid) or {}, pushing,
-                fanout, staged[wid], metrics.aggregates,
+                payloads, outputs[wid], metrics.aggregates,
             )
         )
         if async_mode:
+            if payloads is not None:
+                _stage_groups(rt, outputs[wid], payloads, staged[wid])
             _route_flows(rt, wid, staged[wid], metrics, uniform)
         rt.resp_next.add_to_count(n_respond)
         updates_of[wid] = num_targets
@@ -212,8 +237,11 @@ def run_superstep(
     # Phase 3: route staged messages (push output only).
     # ------------------------------------------------------------------
     if pushing and not async_mode:
-        for wid, flows in enumerate(staged):
-            _route_flows(rt, wid, flows, metrics, uniform)
+        if payloads is not None:
+            _push_uniform(rt, outputs, payloads, staged, metrics)
+        else:
+            for wid, flows in enumerate(staged):
+                _route_flows(rt, wid, flows, metrics, False)
 
     # ------------------------------------------------------------------
     # Metrics assembly.
@@ -232,16 +260,20 @@ def phase2_for_worker(
     superstep: int,
     msgs: Dict[int, List[Any]],
     pushing: bool,
-    fanout,
-    flows: List[List[Any]],
+    payloads,
+    staged: List[Any],
     aggregates: Dict[str, float],
 ):
     """Run ``update()`` (+``pushRes()`` staging) for one worker's targets.
 
     The per-worker half of Phase 2: it updates ``rt.values`` of owned
     vertices, the ``rt.resp_next`` *bytes* (the count is the caller's),
-    the worker's disk/adjacency, the staged *flows* buckets, and folds
-    aggregator contributions into *aggregates*.
+    the worker's disk/adjacency, its *staged* output, and folds
+    aggregator contributions into *aggregates*.  *staged* holds one
+    bucket of ``(dst, payload)`` pairs per destination worker; with
+    *payloads* (a uniform program's push) it is the worker's sender
+    list instead, and each sender's one payload goes to
+    ``payloads[vid]``.
 
     Returns ``(num_targets, n_respond, raw_staged, edges_scanned,
     edge_bytes)``.
@@ -272,7 +304,10 @@ def phase2_for_worker(
     else:
         targets = sorted(msgs.keys())
 
-    flow_append = [bucket.append for bucket in flows]
+    if payloads is None:
+        flow_append = [bucket.append for bucket in staged]
+    else:
+        send = staged.append
     msgs_get = msgs.get
     adjacency = worker.adjacency
     charge_out_edges = adjacency.charge_out_edges if adjacency else None
@@ -310,15 +345,15 @@ def phase2_for_worker(
                 edge_bytes += charged
             lo = indptr[vid]
             hi = indptr[vid + 1]
-            if fanout is not None:
+            if payloads is not None:
                 if hi > lo:
                     # uniform: the first edge stands for the whole row
                     payload = message_value(
                         vid, new_value, indices[lo], weights[lo], ctx
                     )
                     if payload is not None:
-                        for dst_wid, dsts in fanout[vid]:
-                            flow_append[dst_wid]((dsts, payload))
+                        payloads[vid] = payload
+                        send(vid)
                         raw_staged += hi - lo
             else:
                 for dst, weight in zip(indices[lo:hi], weights[lo:hi]):
@@ -408,6 +443,68 @@ def finalize_superstep_metrics(
             derive_phases(cfg, metrics, in_mech, out_mech),
             disk_deltas,
         )
+
+
+def _push_uniform(
+    rt: Runtime,
+    senders: List[List[int]],
+    payloads: List[Any],
+    staged: List[List[List[Any]]],
+    metrics: SuperstepMetrics,
+) -> None:
+    """Ship a uniform program's synchronous push superstep.
+
+    When every vertex with out-edges sent (each worker's *senders*
+    equal the plan's), no sender combines and every store
+    :attr:`~SpillingMessageStore.takes_grouped`, the stream is the one
+    :attr:`Runtime.push_plan` grouped: the network is charged from its
+    per-(src, dst) counts, in ascending ``(src, dst)`` order as
+    :func:`_route_flows` charges it, and each store takes its payloads
+    in one :meth:`~SpillingMessageStore.deposit_grouped` call.  Any
+    other superstep rebuilds the fan-out groups and routes them.
+    """
+    stores = [worker.message_store for worker in rt.workers]
+    if not (rt.config.sender_combine and rt.program.combinable) and all(
+        type(store) is SpillingMessageStore and store.takes_grouped
+        for store in stores
+    ):
+        plan = rt.push_plan
+        if senders == plan.senders:
+            transfer = rt.network.transfer
+            messages = rt.config.sizes.messages
+            for src, counts in enumerate(plan.counts):
+                for dst, count in enumerate(counts):
+                    if count:
+                        transfer(src, dst, messages(count), units=count)
+            for dst, store in enumerate(stores):
+                store.deposit_grouped(
+                    [counts[dst] for counts in plan.counts],
+                    plan.keys[dst],
+                    plan.offsets[dst],
+                    tuple(map(payloads.__getitem__, plan.sources[dst])),
+                )
+            return
+    for wid, flows in enumerate(staged):
+        _stage_groups(rt, senders[wid], payloads, flows)
+        _route_flows(rt, wid, flows, metrics, True)
+
+
+def _stage_groups(
+    rt: Runtime,
+    senders: List[int],
+    payloads: List[Any],
+    flows: List[List[Any]],
+) -> None:
+    """Stage one worker's ``(dsts, payload)`` fan-out groups into its
+    per-destination buckets (:attr:`Runtime.push_fanout`)."""
+    if not senders:
+        return
+    fanout = rt.push_fanout
+    flow_append = [bucket.append for bucket in flows]
+    for vid in senders:
+        payload = payloads[vid]
+        for dst_wid, dsts in fanout[vid]:
+            flow_append[dst_wid]((dsts, payload))
 
 
 def _route_flows(

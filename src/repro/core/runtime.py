@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Any, List, Optional, Sequence
 
 from repro.core.api import ProgramContext, VertexProgram
@@ -28,7 +29,7 @@ from repro.storage.messages import OnlineMessageStore, SpillingMessageStore
 from repro.storage.veblock import BlockLayout, VEBlockStore
 from repro.storage.vertex_cache import LRUVertexCache
 
-__all__ = ["Worker", "Runtime", "choose_vblocks_per_worker"]
+__all__ = ["Worker", "PushPlan", "Runtime", "choose_vblocks_per_worker"]
 
 
 def choose_vblocks_per_worker(
@@ -90,6 +91,68 @@ class Worker:
         if self.vertex_cache is not None:
             total += self.vertex_cache.memory_bytes
         return total
+
+
+class PushPlan:
+    """A uniform-message push superstep in which every vertex with
+    out-edges sends, transposed to the receivers' side.
+
+    Such a superstep's message stream is fixed by the graph and the
+    partition alone: source worker ascending, its vertices in id order,
+    each row in edge order.  Only the payloads change, one per source
+    vertex.  So the stream is grouped by destination vertex once per
+    job, and a store receives a superstep as one slice per vertex of a
+    payload tuple (``SpillingMessageStore.deposit_grouped``).
+
+    Attributes (flat int lists, so the plan adds few objects for the
+    garbage collector to trace):
+
+    * ``senders[s]``: worker ``s``'s vertices with out-edges, in order;
+    * ``counts[s][d]``: the messages ``s`` sends to ``d``'s store;
+    * ``keys[d]``: the vertices ``d``'s store receives for, in order of
+      first arrival;
+    * ``sources[d]`` and ``offsets[d]``: the source vertex of each
+      message ``keys[d][i]`` receives, in stream order, is
+      ``sources[d][offsets[d][i]:offsets[d][i + 1]]``.
+    """
+
+    __slots__ = ("senders", "counts", "keys", "offsets", "sources")
+
+    def __init__(self, rt: "Runtime") -> None:
+        graph = rt.graph
+        indptr, indices = graph.indptr, graph.indices
+        owner_of = rt.owner_of
+        num_workers = rt.config.num_workers
+        streams: List[dict] = [{} for _ in range(num_workers)]
+        self.senders: List[List[int]] = []
+        self.counts: List[List[int]] = []
+        for worker in range(num_workers):
+            senders = []
+            counts = [0] * num_workers
+            for v in rt.partition.vertices_of(worker):
+                lo = indptr[v]
+                hi = indptr[v + 1]
+                if lo == hi:
+                    continue
+                senders.append(v)
+                for dst in indices[lo:hi]:
+                    owner = owner_of[dst]
+                    counts[owner] += 1
+                    stream = streams[owner]
+                    if dst in stream:
+                        stream[dst].append(v)
+                    else:
+                        stream[dst] = [v]
+            self.senders.append(senders)
+            self.counts.append(counts)
+        self.keys = [list(stream) for stream in streams]
+        self.offsets = [
+            [0, *accumulate(map(len, stream.values()))]
+            for stream in streams
+        ]
+        self.sources = [
+            list(chain.from_iterable(stream.values())) for stream in streams
+        ]
 
 
 class Runtime:
@@ -154,6 +217,7 @@ class Runtime:
         # skip the cost entirely.
         self._push_fanout: Optional[List[tuple]] = None
         self._push_fanout_built = False
+        self._push_plan: Optional[PushPlan] = None
         #: executor actually driving supersteps.  ``"vectorized"`` jobs
         #: that cannot run dense (no NumPy, program without dense rules,
         #: scalar-only feature in play, ...) transparently downgrade to
@@ -225,9 +289,11 @@ class Runtime:
         -> ((dst_worker, (dst, dst, ...)), ...), the out-neighbors
         grouped by owning worker.  The batched executor stages one
         (dsts, payload) group per (vertex, worker) pair instead of one
-        (dst, payload) tuple per edge.  None when not applicable; built
-        lazily on first access and cached for the job's lifetime (the
-        graph is immutable once a Runtime holds it).
+        (dst, payload) tuple per edge, on the uniform push supersteps
+        that :attr:`push_plan` cannot deliver (a partial sending set,
+        asynchronous delivery, a combiner, MOCgraph's store).  None when
+        not applicable; built lazily on first access and cached for the
+        job's lifetime (the graph is immutable once a Runtime holds it).
         """
         if not self._push_fanout_built:
             self._push_fanout_built = True
@@ -253,6 +319,15 @@ class Runtime:
                     )
                 self._push_fanout = fanout
         return self._push_fanout
+
+    @property
+    def push_plan(self) -> "PushPlan":
+        """The :class:`PushPlan` of this job's graph and partition,
+        built on first access and kept for the job's lifetime: both are
+        immutable, so a restore keeps it too."""
+        if self._push_plan is None:
+            self._push_plan = PushPlan(self)
+        return self._push_plan
 
     # ------------------------------------------------------------------
     def _init_state(self) -> None:

@@ -11,21 +11,28 @@ the rest spill (:func:`spill_count`).  So each vertex's memory messages
 followed by its spilled ones are its messages in stream order, and the
 vertices come in order of first arrival: the store keeps one dict in
 stream order and only counts the split, as the vectorized tier's array
-store does.  A combiner folds only memory-resident messages, so that
-path keeps memory and spill apart.
+store does.  So an empty store can also take a whole superstep already
+grouped by vertex (:meth:`SpillingMessageStore.deposit_grouped`, fed by
+the batched executor's push plan), one tuple slice per vertex instead
+of one list append per message.  A combiner folds only memory-resident
+messages, so that path keeps memory and spill apart.
 
 :class:`OnlineMessageStore` models MOCgraph's message online computing:
 the memory budget caches *vertices* (hot = highest in-degree, emulating
 MOCgraph's hot-aware re-partitioning); a message to a memory-resident
 vertex is folded into an in-memory accumulator immediately (zero disk
-bytes), and only messages to disk-resident vertices spill.  Requires a
+bytes), and only messages to disk-resident vertices spill (their random
+writes are charged once per deposit call).  Requires a
 commutative/associative combiner, which is why MOCgraph is absent from
 the LPA and SA experiments.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from itertools import islice
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from repro.storage.disk import SimulatedDisk
 from repro.storage.records import RecordSizes
@@ -43,7 +50,7 @@ class LoadResult:
 
     def __init__(
         self,
-        messages: Dict[int, List[Any]],
+        messages: Dict[int, Sequence[Any]],
         spilled_read: int,
         spilled_count: int,
     ) -> None:
@@ -146,6 +153,41 @@ class SpillingMessageStore:
                     mem[dst] = [value]
         self._count(count)
 
+    @property
+    def takes_grouped(self) -> bool:
+        """Whether :meth:`deposit_grouped` applies: no combiner and no
+        pending message."""
+        return self._combine is None and not self.pending_count
+
+    def deposit_grouped(
+        self,
+        counts: List[int],
+        keys: List[int],
+        offsets: List[int],
+        values: Tuple[Any, ...],
+    ) -> None:
+        """Receive a whole superstep's messages grouped by vertex.
+
+        ``keys[i]`` gets ``values[offsets[i]:offsets[i + 1]]``, with the
+        keys in order of first arrival and each vertex's values in
+        stream order; ``counts`` are the messages each source worker
+        sent, in source order.  Only for a store that
+        :attr:`takes_grouped`: the result is that of one :meth:`deposit`
+        per message of the stream, each source's messages split between
+        memory and disk as one batch, except that each vertex's values
+        are a tuple slice, not a list.  A tuple of payloads stops being
+        tracked by the cyclic garbage collector at its first pass, so a
+        superstep's thousands of them are never promoted to the old
+        generation, whose growth sets off full collections.
+        """
+        self._mem = dict(zip(keys, map(
+            values.__getitem__,
+            map(slice, offsets, islice(offsets, 1, None)),
+        )))
+        for count in counts:
+            self.total_deposited += count
+            self._count(count)
+
     def _count(self, count: int) -> None:
         """Split *count* combine-less messages into memory and spill."""
         spilled = spill_count(
@@ -236,28 +278,43 @@ class OnlineMessageStore:
         self.total_spilled = 0
 
     def deposit(self, dst: int, value: Any) -> None:
-        self.total_deposited += 1
-        if dst in self._hot:
-            if dst in self._acc:
-                self._acc[dst] = self._combine(self._acc[dst], value)
-            else:
-                self._acc[dst] = value
-            return
-        self._spill.setdefault(dst, []).append(value)
-        self._spill_count += 1
-        self.total_spilled += 1
-        self._disk.write(self._sizes.message, sequential=False)
+        self.deposit_many(((dst, value),))
 
     def deposit_many(self, messages: List[Any]) -> None:
         """Batched :meth:`deposit` — see ``SpillingMessageStore``."""
-        for dst, value in messages:
-            self.deposit(dst, value)
+        self._deposit(messages, len(messages))
 
     def deposit_fanout(self, groups: List[Any], count: int) -> None:
         """Nested-form :meth:`deposit` — see ``SpillingMessageStore``."""
-        for dsts, value in groups:
-            for dst in dsts:
-                self.deposit(dst, value)
+        self._deposit(
+            ((dst, value) for dsts, value in groups for dst in dsts), count
+        )
+
+    def _deposit(self, pairs: Iterable[Any], count: int) -> None:
+        """Fold each of *count* pairs into its hot vertex's accumulator,
+        else spill it; the spills are one random-write charge."""
+        self.total_deposited += count
+        hot = self._hot
+        acc = self._acc
+        spill = self._spill
+        combine = self._combine
+        spilled = 0
+        for dst, value in pairs:
+            if dst in hot:
+                if dst in acc:
+                    acc[dst] = combine(acc[dst], value)
+                else:
+                    acc[dst] = value
+            else:
+                if dst in spill:
+                    spill[dst].append(value)
+                else:
+                    spill[dst] = [value]
+                spilled += 1
+        if spilled:
+            self._spill_count += spilled
+            self.total_spilled += spilled
+            self._disk.charge(random_write=spilled * self._sizes.message)
 
     def load(self) -> LoadResult:
         spilled_count = self._spill_count

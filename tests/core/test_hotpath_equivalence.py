@@ -1,7 +1,7 @@
 """Equivalence guard: all executors must agree byte-for-byte.
 
 The batched hot path (aggregated ``SimulatedDisk.charge`` calls, bitset
-flags, per-destination-worker staging, fan-out deposits) and the
+flags, per-destination-worker staging, grouped and fan-out deposits) and the
 NumPy-vectorized executor (CSR kernels, dense folds) must both produce
 **byte-identical** modeled metrics to the pre-optimization executor in
 ``repro.core.modes.reference``.  These tests run the same jobs through
@@ -23,11 +23,12 @@ from repro.algorithms.lpa import LPA
 from repro.algorithms.pagerank import PageRank
 from repro.algorithms.sssp import SSSP
 from repro.algorithms.wcc import WCC
-from repro.core.config import JobConfig
+from repro.core.config import FaultPlan, JobConfig
 from repro.core.engine import run_job
 from repro.core.modes import common, vectorized
 from repro.core.modes import reference as reference_tier
 from repro.core.modes.common import pull_record
+from repro.core.runtime import Runtime
 from repro.datasets.generators import random_graph
 from repro.storage.disk import SimulatedDisk
 from repro.storage.messages import SpillingMessageStore
@@ -46,6 +47,17 @@ def _no_fragment_lists(store):
     raise AssertionError("only the reference tier builds fragment lists")
 
 
+def _no_fanout(*args):
+    raise AssertionError("every push superstep here takes the push plan")
+
+
+#: patched to raise where a uniform push must be delivered by the plan.
+FANOUT_PATHS = (
+    (SpillingMessageStore, "deposit_fanout", _no_fanout),
+    (Runtime, "push_fanout", property(_no_fanout)),
+)
+
+
 def _logging(gather, log):
     """*gather*, appending a copy of each inbox it returns, in its dict
     order, to *log*."""
@@ -59,10 +71,24 @@ def _logging(gather, log):
     return logged
 
 
-def run_all(graph, program_factory, parallelisms=(1,), **cfg_kwargs):
+def _logging_load(load, log):
+    """*load*, appending a copy of each drained stream, in its dict
+    order, to *log*."""
+    def logged(store):
+        result = load(store)
+        log.append([(vid, list(msgs)) for vid, msgs in
+                    result.messages.items()])
+        return result
+    return logged
+
+
+def run_all(graph, program_factory, parallelisms=(1,), forbidden=(),
+            **cfg_kwargs):
     """Run the job on every tier.  Only the reference tier may build
-    VE-BLOCK fragment lists; each result's ``inboxes`` logs the inboxes
-    of its scalar b-pull gathers."""
+    VE-BLOCK fragment lists, and no tier may reach a *forbidden*
+    ``(owner, name, replacement)``; each result's ``inboxes`` logs the
+    inboxes of its scalar b-pull gathers, and its ``loads`` what each
+    ``SpillingMessageStore.load`` drained."""
     results = []
     for executor in EXECUTORS:
         for parallelism in parallelisms:
@@ -72,7 +98,16 @@ def run_all(graph, program_factory, parallelisms=(1,), **cfg_kwargs):
                 executor=executor, parallelism=parallelism, **cfg_kwargs
             )
             inboxes = []
+            loads = []
             with ExitStack() as patches:
+                patches.enter_context(mock.patch.object(
+                    SpillingMessageStore, "load",
+                    _logging_load(SpillingMessageStore.load, loads),
+                ))
+                for owner, name, replacement in forbidden:
+                    patches.enter_context(
+                        mock.patch.object(owner, name, replacement)
+                    )
                 for module, name in SCALAR_GATHERS:
                     patches.enter_context(mock.patch.object(
                         module, name,
@@ -84,6 +119,7 @@ def run_all(graph, program_factory, parallelisms=(1,), **cfg_kwargs):
                     ))
                 result = run_job(graph, program_factory(), cfg)
             result.inboxes = inboxes
+            result.loads = loads
             results.append(result)
     return results
 
@@ -93,7 +129,8 @@ def assert_identical(results):
     # differs across the compared runs; everything else must match.
     # The last superstep's network flows must match in order too: the
     # network folds float seconds in flow order, and so must every
-    # scalar gather's inbox: its order is the canonical triple order.
+    # scalar gather's inbox: its order is the canonical triple order;
+    # and every drained message store, in vertex and message order.
     reference = results[0]
     ref_dict = reference.metrics.to_dict()
     ref_dict.pop("fallback", None)
@@ -108,6 +145,8 @@ def assert_identical(results):
         assert list(other.runtime.network._flows.items()) == ref_flows
         if other.inboxes:
             assert other.inboxes == reference.inboxes
+        if other.loads:
+            assert other.loads == reference.loads
 
 
 class TestExecutorEquivalence:
@@ -117,12 +156,32 @@ class TestExecutorEquivalence:
         [PageRank, lambda: SSSP(source=0), LPA, WCC],
         ids=["pagerank", "sssp", "lpa", "wcc"],
     )
-    def test_metrics_identical_disk_resident(self, mode, program_factory):
+    def test_metrics_identical_disk_resident(
+        self, mode, program_factory, tmp_path
+    ):
         g = random_graph(300, 6, seed=42)
+        # every vertex of PageRank and LPA sends in every push superstep,
+        # so the push plan delivers each one and no fan-out is built
+        plan_only = program_factory in (PageRank, LPA) and mode != "bpull"
+        forbidden = FANOUT_PATHS if plan_only else ()
         assert_identical(run_all(
-            g, program_factory, mode=mode, num_workers=4,
-            message_buffer_per_worker=100, max_supersteps=6,
+            g, program_factory, forbidden=forbidden, mode=mode,
+            num_workers=4, message_buffer_per_worker=100, max_supersteps=6,
         ))
+        if plan_only and mode == "push":
+            # a crash at a push superstep, recovered from a durable
+            # snapshot: the restored job keeps its plan
+            results = run_all(
+                g, program_factory, forbidden=forbidden, mode=mode,
+                num_workers=4, message_buffer_per_worker=100,
+                max_supersteps=6, checkpoint_interval=2,
+                checkpoint_dir=str(tmp_path),
+                fault=FaultPlan(worker=1, superstep=4),
+            )
+            assert_identical(results)
+            assert [r["policy"] for r in results[0].metrics.recoveries] == [
+                "checkpoint"
+            ]
 
     def test_metrics_identical_hybrid_switch_supersteps(self):
         # Run to convergence so hybrid switches both ways; the executors
@@ -235,6 +294,33 @@ class TestExecutorEquivalence:
             s.responding_vertices for s in results[0].metrics.supersteps
         ]
         assert responding[0] == g.num_vertices and responding[-1] == 0
+        # the same in push mode: the push plan delivers the supersteps
+        # where every vertex sends, the fan-out the ones where none does
+        results = run_all(
+            g, lambda: PageRank(tolerance=1e-3), mode="push",
+            num_workers=4, message_buffer_per_worker=100,
+            max_supersteps=20,
+        )
+        assert_identical(results)
+        responding = [
+            s.responding_vertices for s in results[0].metrics.supersteps
+        ]
+        assert responding[0] == g.num_vertices and responding[-1] == 0
+        # WCC's partial sending sets take the fan-out, synchronous or
+        # not, on either partition
+        for partition in ("range", "hash"):
+            for asynchronous in (False, True):
+                results = run_all(
+                    g, WCC, mode="push", num_workers=4,
+                    partition=partition, asynchronous=asynchronous,
+                    message_buffer_per_worker=100,
+                )
+                assert_identical(results)
+                responding = [
+                    s.responding_vertices
+                    for s in results[0].metrics.supersteps
+                ]
+                assert any(0 < r < g.num_vertices for r in responding)
         # the tolerance stops every vertex at once; WCC's sending set
         # shrinks through partial sets to none, so a scan plan or an
         # accounting record reused after its set changed would show
@@ -330,7 +416,10 @@ class TestBatchedDeposits:
         assert one.memory_bytes == many.memory_bytes
         # same messages, and the same vertex order
         expected = list(one.load().messages.items())
-        assert list(many.load().messages.items()) == expected
+        assert [
+            (dst, list(values))
+            for dst, values in many.load().messages.items()
+        ] == expected
         return expected
 
     def test_deposit_many_matches_per_message(self):
@@ -353,12 +442,14 @@ class TestBatchedDeposits:
         groups = [((0, 3, 6), 1.5), ((1, 4), 2.5), ((2,), 3.5),
                   ((0, 1, 2, 3, 4), 4.5)]
         count = sum(len(dsts) for dsts, _v in groups)
-        one, fan = self._stores(capacity=6)  # boundary straddles a group
-        for dsts, value in groups:
-            for dst in dsts:
-                one.deposit(dst, value)
-        fan.deposit_fanout(list(groups), count)
-        self._assert_same(one, fan)
+        # at 6 the boundary straddles a group; None never spills
+        for capacity in (6, None):
+            one, fan = self._stores(capacity=capacity)
+            for dsts, value in groups:
+                for dst in dsts:
+                    one.deposit(dst, value)
+            fan.deposit_fanout(list(groups), count)
+            self._assert_same(one, fan)
         # an interleaved stream of the three calls that crosses the
         # buffer boundary twice (a loaded store starts empty again)
         for capacity in (7, 0):
@@ -382,11 +473,34 @@ class TestBatchedDeposits:
                 in_stream_order.items()
             )
 
-    def test_deposit_fanout_unlimited_capacity(self):
-        groups = [((0, 1), 1.0), ((2,), 2.0)]
-        one, fan = self._stores(capacity=None)
-        for dsts, value in groups:
-            for dst in dsts:
-                one.deposit(dst, value)
-        fan.deposit_fanout(list(groups), 3)
-        self._assert_same(one, fan)
+    def test_deposit_grouped_matches_per_message(self):
+        # two source workers' streams; at capacity 7 the buffer boundary
+        # falls inside the second one
+        sources = [
+            [(3, 1.0), (0, 2.0), (3, 3.0), (5, 4.0), (0, 5.0)],
+            [(1, 6.0), (3, 7.0), (1, 8.0), (6, 9.0), (0, 10.0), (3, 11.0)],
+        ]
+        grouped = {}
+        for dst, value in (pair for stream in sources for pair in stream):
+            grouped.setdefault(dst, []).append(value)
+        offsets = [0]
+        for values in grouped.values():
+            offsets.append(offsets[-1] + len(values))
+        flat = tuple(value for values in grouped.values() for value in values)
+        for capacity in (0, 7, None):
+            one, many = self._stores(capacity=capacity)
+            assert many.takes_grouped
+            for stream in sources:
+                for dst, value in stream:
+                    one.deposit(dst, value)
+            many.deposit_grouped(
+                [len(stream) for stream in sources], list(grouped), offsets,
+                flat,
+            )
+            assert many.total_deposited == one.total_deposited == 11
+            assert many.total_spilled == {0: 11, 7: 4, None: 0}[capacity]
+            assert self._assert_same(one, many) == list(grouped.items())
+        # a combiner or a pending message rules the grouped form out
+        assert not self._stores(7, combine=lambda a, b: a + b)[0].takes_grouped
+        one.deposit(0, 1.0)
+        assert not one.takes_grouped

@@ -112,6 +112,13 @@ class TestOnlineMessageStore:
         result = store.load()
         assert result.messages[9] == [1.0, 2.0]
         assert result.spilled_count == 2
+        # the batched forms fold and spill per message, and charge once
+        store.deposit_fanout([((0, 9), 1.0), ((9, 0), 2.0)], 4)
+        store.deposit_many([(9, 3.0), (0, 4.0)])
+        assert store.total_deposited == 8
+        assert store.total_spilled == 5
+        assert disk.counters.random_write == DEFAULT_SIZES.messages(5)
+        assert store.load().messages == {0: [7.0], 9: [1.0, 2.0, 3.0]}
 
     def test_memory_bytes_counts_accumulators(self):
         store, _disk = self.make(hot=[0, 1, 2])
